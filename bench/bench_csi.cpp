@@ -28,7 +28,7 @@ struct Agg {
 
 Agg aggregate(const std::string& src, csi::Algorithm alg) {
   auto compiled = driver::compile(src);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   Agg agg;
   for (const auto& ms : conv.automaton.states) {
     if (ms.width() < 2) continue;
@@ -90,7 +90,7 @@ void report() {
             {18, 14, 12, 10});
   for (const auto& name : {"listing1", "branchy4", "floatmix", "loopmix"}) {
     auto compiled = driver::compile(workload::kernel(name).source);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = bench::convert(compiled.graph, kCost);
     mimd::RunConfig cfg;
     cfg.nprocs = 16;
     codegen::CodegenOptions no_csi;

@@ -69,7 +69,7 @@ void report() {
             {14, 10, 10, 8, 11, 11, 6, 8, 11});
   for (const auto& name : {"listing1", "listing3", "branchy4", "recursion"}) {
     auto compiled = driver::compile(workload::kernel(name).source);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = bench::convert(compiled.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
     std::size_t counts[6] = {0, 0, 0, 0, 0, 0};
     std::size_t total = 0, table_cells = 0;

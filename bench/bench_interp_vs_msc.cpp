@@ -45,7 +45,7 @@ Row measure(const workload::Kernel& k) {
     m.run();
     (dispatch == interp::Dispatch::Naive ? row.naive : row.smart) = m.stats();
   }
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   cfg.engine = mimd::SimdEngine::Fast;
   driver::run_simd(compiled, conv, cfg, kSeed, kCost, {}, &row.msc);
   cfg.engine = mimd::SimdEngine::Reference;
@@ -142,7 +142,7 @@ BENCHMARK(BM_InterpGlobalOr);
 
 void BM_MscExecution(benchmark::State& state) {
   auto compiled = driver::compile(workload::listing1().source);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 16;

@@ -55,7 +55,7 @@ void report_engines() {
               "(1/64 PEs active) ==\n");
   for (const char* name : {"listing1", "branchy4"}) {
     auto compiled = driver::compile(workload::kernel(name).source);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = bench::convert(compiled.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
     Table t({"PEs", "active", "fast us", "reference us", "host speedup",
              "stats equal"},
@@ -126,7 +126,7 @@ void report_translation_cache() {
   std::printf("\n== T-TC: translation-cached codegen engine vs fast, "
               "full occupancy ==\n");
   auto compiled = driver::compile(kConstHeavy);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   codegen::translation_cache_clear();  // count only this section's traffic
 
@@ -191,7 +191,7 @@ void report_vectorization() {
               simd_isa_name(host));
   bench::JsonReport& report = bench::JsonReport::instance();
   auto compiled = driver::compile(kConstHeavy);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
 
   if (host == SimdIsa::Scalar) {
@@ -277,7 +277,7 @@ void report_observability() {
   // and profiling overheads are reported alongside for the record.
   std::printf("\n== T-OBS: observability overhead on the fast engine ==\n");
   auto compiled = driver::compile(workload::kernel("branchy4").source);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 1024;
@@ -359,7 +359,7 @@ void report() {
 
   for (const char* name : {"listing1", "branchy4"}) {
     auto compiled = driver::compile(workload::kernel(name).source);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = bench::convert(compiled.graph, kCost);
     Table t({"PEs", "msc cyc", "msc transitions", "msc util", "interp cyc",
              "interp iters", "mimd makespan"},
             {6, 10, 16, 10, 12, 13, 14});
@@ -391,7 +391,7 @@ void report() {
 
 void BM_SimdAtScale(benchmark::State& state) {
   auto compiled = driver::compile(workload::listing1().source);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = state.range(0);
@@ -410,7 +410,7 @@ void BM_SimdEngineSparse(benchmark::State& state) {
   // Args: {nprocs, engine} with 1/64 of the PEs initially active — the
   // sparse-occupancy regime where the occupancy-indexed engine wins.
   auto compiled = driver::compile(workload::kernel("branchy4").source);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = state.range(0);

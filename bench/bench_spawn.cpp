@@ -44,7 +44,7 @@ void report() {
   for (int children : {1, 2, 4}) {
     std::string src = spawn_fanout_source(children);
     auto compiled = driver::compile(src);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = bench::convert(compiled.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
 
     mimd::RunConfig cfg;
@@ -77,7 +77,7 @@ void report() {
   {
     std::string src = spawn_fanout_source(6);
     auto compiled = driver::compile(src);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = bench::convert(compiled.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
     for (bool reuse : {false, true}) {
       mimd::RunConfig cfg;
@@ -105,7 +105,7 @@ void report() {
 void BM_SpawnHeavyRun(benchmark::State& state) {
   std::string src = spawn_fanout_source(4);
   auto compiled = driver::compile(src);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 64;

@@ -7,9 +7,11 @@
 // Build & run:  ./build/examples/barrier_reduction
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
+#include "msc/pass/pass.hpp"
 #include "msc/workload/kernels.hpp"
 
 using namespace msc;
@@ -41,7 +43,8 @@ int main() {
   auto compiled = driver::compile(workload::listing3().source);
   core::ConvertOptions prune;
   prune.barrier_mode = core::BarrierMode::PaperPrune;
-  auto fig6 = core::meta_state_convert(compiled.graph, cost, prune);
+  const std::vector<std::string> passes = {"convert", "subsume", "straighten"};
+  auto fig6 = pass::run_conversion_pipeline(compiled.graph, cost, passes, prune);
   std::printf("== Fig. 6: Listing 3 meta-state graph (PaperPrune) ==\n%s\n",
               fig6.automaton.dump().c_str());
 
@@ -67,7 +70,7 @@ int main() {
   config.nprocs = 8;
   mimd::MimdStats mimd_stats;
   driver::run_oracle(compiled, config, 7, &mimd_stats);
-  auto conv = core::meta_state_convert(compiled.graph, cost, prune);
+  auto conv = pass::run_conversion_pipeline(compiled.graph, cost, passes, prune);
   simd::SimdStats simd_stats;
   driver::run_simd(compiled, conv, config, 7, cost, {}, &simd_stats);
   std::printf("MIMD barrier protocol cycles : %lld (+%lld idle)\n",

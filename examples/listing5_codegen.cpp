@@ -8,6 +8,7 @@
 
 #include "msc/codegen/program.hpp"
 #include "msc/driver/pipeline.hpp"
+#include "msc/pass/pass.hpp"
 #include "msc/workload/kernels.hpp"
 
 using namespace msc;
@@ -19,7 +20,8 @@ int main() {
 
   driver::Compiled compiled = driver::compile(kernel.source);
   ir::CostModel cost;
-  auto conv = core::meta_state_convert(compiled.graph, cost, {});
+  auto conv = pass::run_conversion_pipeline(
+      compiled.graph, cost, {"convert", "subsume", "straighten"}, {});
   std::printf("meta states: %zu (paper Listing 5 has 8)\n\n",
               conv.automaton.num_states());
 

@@ -9,6 +9,7 @@
 
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
+#include "msc/pass/pass.hpp"
 #include "msc/workload/kernels.hpp"
 
 using namespace msc;
@@ -23,16 +24,18 @@ int main() {
   std::printf("== MIMD state graph (Fig. 1) ==\n%s\n",
               compiled.graph.dump().c_str());
 
-  // 2. Meta-state conversion, base algorithm (§2.3 → Fig. 2).
+  // 2. Meta-state conversion, base algorithm (§2.3 → Fig. 2), then the
+  //    §4.2 fall-through layout: the default pipeline's conversion passes.
   ir::CostModel cost;
-  auto base = core::meta_state_convert(compiled.graph, cost, {});
+  auto base = pass::run_conversion_pipeline(
+      compiled.graph, cost, {"convert", "subsume", "straighten"}, {});
   std::printf("== Base meta-state automaton (Fig. 2) ==\n%s\n",
               base.automaton.dump().c_str());
 
-  // 3. With §2.5 compression (→ Fig. 5).
-  core::ConvertOptions copts;
-  copts.compress = true;
-  auto compressed = core::meta_state_convert(compiled.graph, cost, copts);
+  // 3. With §2.5 compression, and Fig. 5 subsumption of the subset state.
+  auto compressed = pass::run_conversion_pipeline(
+      compiled.graph, cost, {"compress", "convert", "subsume", "straighten"},
+      {});
   std::printf("== Compressed automaton (Fig. 5) ==\n%s\n",
               compressed.automaton.dump().c_str());
 

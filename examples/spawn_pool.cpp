@@ -11,6 +11,7 @@
 #include "msc/codegen/program.hpp"
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
+#include "msc/pass/pass.hpp"
 #include "msc/simd/machine.hpp"
 #include "msc/workload/kernels.hpp"
 
@@ -22,7 +23,8 @@ int main() {
 
   driver::Compiled compiled = driver::compile(kernel.source);
   ir::CostModel cost;
-  auto conv = core::meta_state_convert(compiled.graph, cost, {});
+  auto conv = pass::run_conversion_pipeline(
+      compiled.graph, cost, {"convert", "subsume", "straighten"}, {});
   auto prog = codegen::generate(conv.automaton, conv.graph, cost, {});
 
   mimd::RunConfig config;

@@ -10,6 +10,7 @@
 
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
+#include "msc/pass/pass.hpp"
 
 using namespace msc;
 
@@ -70,8 +71,10 @@ int main() {
   std::printf("MIMD states: %zu, barrier states: %zu\n", compiled.graph.size(),
               compiled.graph.barrier_states().count());
 
-  core::ConvertOptions opts;  // TrackOccupancy: several barriers interleave
-  auto conv = core::meta_state_convert(compiled.graph, cost, opts);
+  // The default pipeline's conversion passes; barrier mode TrackOccupancy,
+  // since several barriers interleave.
+  auto conv = pass::run_conversion_pipeline(
+      compiled.graph, cost, {"convert", "subsume", "straighten"}, {});
   std::printf("meta states: %zu (mean width %.2f)\n\n",
               conv.automaton.num_states(), conv.automaton.mean_width());
 

@@ -9,8 +9,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "msc/core/straighten.hpp"
-#include "msc/core/subsume.hpp"
 #include "msc/core/time_split.hpp"
 #include "msc/support/coverage.hpp"
 #include "msc/support/metrics.hpp"
@@ -133,12 +131,6 @@ class Converter {
       stats_.merge_seconds += since(t1);
 
       begin = end;
-    }
-
-    if (opts_.compress && opts_.subsume) {
-      Clock::time_point t0 = Clock::now();
-      subsume_automaton(aut_);
-      stats_.subsume_seconds += since(t0);
     }
 
     stats_.meta_states = aut_.num_states();
@@ -473,7 +465,7 @@ ConvertResult meta_state_convert(const StateGraph& graph, const ir::CostModel& c
 
   // The memo outlives each restarted Converter: that is what makes §2.4
   // restarts cheap. Scoped to this call — reach() semantics depend on the
-  // compress mode, so adaptive's fallback run builds its own memo.
+  // compress mode, so the convert pass's adaptive retry builds its own memo.
   SuccessorMemo memo;
   SuccessorMemo* memo_ptr = options.memoize ? &memo : nullptr;
 
@@ -484,11 +476,6 @@ ConvertResult meta_state_convert(const StateGraph& graph, const ir::CostModel& c
     try {
       Converter conv(res.graph, cost, options, allow_split, res.stats, memo_ptr);
       res.automaton = conv.run();
-      if (options.straighten) {
-        Clock::time_point t0 = Clock::now();
-        straighten(res.automaton);
-        res.stats.straighten_seconds += since(t0);
-      }
       res.stats.total_seconds = since(t_total);
       // Fuzzer feature coverage (no-op without an installed sink): the
       // automaton's coarse shape and how much §2.4 splitting it needed.
@@ -543,20 +530,6 @@ ConvertResult meta_state_convert(const StateGraph& graph, const ir::CostModel& c
         allow_split = false;
       }
     }
-  }
-}
-
-ConvertResult meta_state_convert_adaptive(const StateGraph& graph,
-                                          const ir::CostModel& cost,
-                                          ConvertOptions options) {
-  try {
-    return meta_state_convert(graph, cost, options);
-  } catch (const ExplosionError&) {
-    options.compress = true;
-    // Compression forfeits the §3.2.4 masking anyway; degrade the barrier
-    // mode with it rather than trade an explosion for a compile error.
-    options.barrier_mode = BarrierMode::TrackOccupancy;
-    return meta_state_convert(graph, cost, options);
   }
 }
 

@@ -11,20 +11,13 @@
 
 namespace msc::core {
 
-/// Options for meta-state conversion.
+/// Options for the conversion engine. Fig. 5 subsumption and §4.2
+/// straightening are not engine options but passes of their own.
 struct ConvertOptions {
   /// §2.5: assume both successors of every two-exit state are always
   /// taken. Collapses the automaton dramatically (Fig. 5) at the cost of
-  /// wider (less efficient) meta states.
+  /// wider (less efficient) meta states. Set by the `compress` pass.
   bool compress = false;
-
-  /// With compression, additionally merge any meta state whose member set
-  /// is strictly contained in another's into that superset (the paper's
-  /// "the case of both successors can always emulate either successor");
-  /// this is what reduces Listing 1's compressed automaton to the two
-  /// states of Fig. 5. Ignored in base mode, where transitions are keyed
-  /// on exact occupancy.
-  bool subsume = true;
 
   /// Ignored under compression, which always tracks barrier occupancy
   /// (a compressed transition is unconditional, so the §3.2.4 masking
@@ -32,13 +25,10 @@ struct ConvertOptions {
   /// arcs instead).
   BarrierMode barrier_mode = BarrierMode::TrackOccupancy;
 
-  /// §4.2: straighten the finished automaton — lay single-successor chains
-  /// out consecutively so codegen emits fall-throughs instead of gotos.
-  bool straighten = true;
-
   /// §2.4 MIMD-state time splitting. When a freshly created meta state
   /// mixes member costs badly, the expensive members are split into a
-  /// min-cost head plus a tail state and the conversion restarts.
+  /// min-cost head plus a tail state and the conversion restarts. Set by
+  /// the `time-split` pass.
   bool time_split = false;
   std::int64_t split_delta = 4;     ///< cost noise level, in cycles
   std::int64_t split_percent = 75;  ///< acceptable utilization, in percent
@@ -103,19 +93,13 @@ struct ConvertResult {
   ConvertStats stats;
 };
 
-/// Meta-state conversion (§2): build the meta-state automaton for `graph`.
-/// The input graph is copied; time splitting mutates only the copy.
+/// Meta-state conversion (§2.3–§2.5): build the meta-state automaton for
+/// `graph`. The input graph is copied; time splitting mutates only the
+/// copy. The result is neither subsumed nor straightened: for the automaton
+/// users get, run a pass pipeline (pass::run_conversion_pipeline).
 ConvertResult meta_state_convert(const ir::StateGraph& graph,
                                  const ir::CostModel& cost,
                                  const ConvertOptions& options = {});
-
-/// The practical policy the paper's §1.2 warning implies: run the base
-/// conversion under a state budget; if it explodes, fall back to §2.5
-/// compression (which is bounded by the reachable unions). The result
-/// records which mode actually ran via `automaton.compressed`.
-ConvertResult meta_state_convert_adaptive(const ir::StateGraph& graph,
-                                          const ir::CostModel& cost,
-                                          ConvertOptions options = {});
 
 }  // namespace msc::core
 

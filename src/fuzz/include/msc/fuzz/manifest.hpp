@@ -29,13 +29,10 @@ struct Manifest {
   bool reuse_halted_pes = false;
   // The matrix cell (for kind != "corpus" replays).
   /// Comma-separated conversion-stage pass pipeline (schema 1 with passes,
-  /// e.g. "compress,convert,subsume,straighten"). Empty = derive from the
-  /// legacy boolean fields below, so pre-pipeline manifests keep replaying.
+  /// e.g. "compress,convert,subsume,straighten"). parse_manifest() fills it
+  /// from a pre-pipeline manifest's compress/time_split/subsume booleans.
   std::string pipeline;
-  bool compress = false;    ///< legacy (parse-only fallback)
-  bool subsume = true;      ///< legacy (parse-only fallback)
   bool prune = false;
-  bool time_split = false;  ///< legacy (parse-only fallback)
   unsigned threads = 1;
   std::string engine = "fast";
   std::string note;

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "msc/pass/pass.hpp"
 #include "msc/simd/machine.hpp"
 #include "msc/support/str.hpp"
 
@@ -141,6 +142,16 @@ std::string to_str(const std::map<std::string, std::string>& fields,
   return it == fields.end() ? fallback : it->second;
 }
 
+/// A pre-pipeline manifest's stage booleans as the conversion-stage pass
+/// list they stand for (a matrix cell runs over the compiled graph).
+std::string shorthand_stages(const std::map<std::string, std::string>& fields) {
+  return join(pass::conversion_stages(pass::shorthand_pipeline(
+                  to_bool(fields, "compress", false),
+                  to_bool(fields, "time_split", false),
+                  to_bool(fields, "subsume", true))),
+              ",");
+}
+
 }  // namespace
 
 RunSpec Manifest::spec() const {
@@ -149,15 +160,6 @@ RunSpec Manifest::spec() const {
     s.pipeline.clear();
     for (const std::string& name : split(pipeline, ','))
       if (!name.empty()) s.pipeline.push_back(name);
-  } else {
-    // Legacy manifests describe the cell as booleans; rebuild the pass
-    // pipeline they meant.
-    s.pipeline.clear();
-    if (compress) s.pipeline.push_back("compress");
-    if (time_split) s.pipeline.push_back("time-split");
-    s.pipeline.push_back("convert");
-    if (subsume) s.pipeline.push_back("subsume");
-    s.pipeline.push_back("straighten");
   }
   s.barrier_mode = prune ? core::BarrierMode::PaperPrune
                          : core::BarrierMode::TrackOccupancy;
@@ -231,10 +233,8 @@ Manifest parse_manifest(const std::string& json) {
                                         static_cast<std::int64_t>(m.input_seed)));
   m.reuse_halted_pes = to_bool(fields, "reuse_halted_pes", m.reuse_halted_pes);
   m.pipeline = to_str(fields, "pipeline", m.pipeline);
-  m.compress = to_bool(fields, "compress", m.compress);
-  m.subsume = to_bool(fields, "subsume", m.subsume);
+  if (m.pipeline.empty()) m.pipeline = shorthand_stages(fields);
   m.prune = to_bool(fields, "prune", m.prune);
-  m.time_split = to_bool(fields, "time_split", m.time_split);
   m.threads = static_cast<unsigned>(to_int(fields, "threads", m.threads));
   m.engine = to_str(fields, "engine", m.engine);
   m.note = to_str(fields, "note", m.note);

@@ -41,6 +41,15 @@ const char* kSeedFrames[] = {
     "{\"op\": \"run\", \"source\": \"poly int x;\\nint main() { return x * "
     "2; }\\n\", \"nprocs\": 4, \"trace\": true}",
     "{\"op\": \"stats\", \"trace\": false}",
+    // Stage shorthands; beside an explicit "pipeline" they are ignored; an
+    // unknown pass name is a typed pipeline-error.
+    "{\"op\": \"compile\", \"source\": \"poly int x;\\nint main() { if (x) "
+    "{ x = 1; } return x; }\\n\", \"compress\": true, \"time_split\": true, "
+    "\"subsume\": false}",
+    "{\"op\": \"run\", \"source\": \"poly int x;\\nint main() { return x; "
+    "}\\n\", \"pipeline\": \"convert,straighten\", \"compress\": true}",
+    "{\"op\": \"compile\", \"source\": \"int main() { return 0; }\", "
+    "\"pipeline\": \"convert,frobnicate\"}",
     "{\"op\": \"shutdown\", \"id\": \"bye\"}",
 };
 

@@ -1,6 +1,8 @@
 // The built-in pass registry: every stage of the toolchain, registered by
 // name so pipelines can be printed, reordered, disabled, and timed.
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "msc/codegen/program.hpp"
 #include "msc/core/dme.hpp"
@@ -36,24 +38,19 @@ void refresh_counts(core::ConvertResult& conv) {
 }
 
 void run_convert(PipelineState& st, Counters& counters) {
-  core::ConvertOptions o = st.options;
-  // Subsumption and straightening are pipeline passes of their own; the
-  // engine-internal variants stay off so each boundary is observable.
-  o.subsume = false;
-  o.straighten = false;
   const std::int64_t t_start = st.trace_sink ? st.trace_sink->now_us() : 0;
   try {
-    st.conversion = core::meta_state_convert(st.graph, st.cost, o);
+    st.conversion = core::meta_state_convert(st.graph, st.cost, st.options);
   } catch (const core::ExplosionError&) {
     if (!st.adaptive) throw;
     // §1.2 fallback policy: rerun under §2.5 compression, which is bounded
     // by the reachable unions. Record the switch so later passes (and the
-    // caller) see which mode actually ran.
-    o.compress = true;
-    o.barrier_mode = core::BarrierMode::TrackOccupancy;
+    // caller) see which mode actually ran. Compression forfeits the §3.2.4
+    // masking anyway, so the barrier mode degrades with it rather than
+    // trade an explosion for a compile error.
     st.options.compress = true;
     st.options.barrier_mode = core::BarrierMode::TrackOccupancy;
-    st.conversion = core::meta_state_convert(st.graph, st.cost, o);
+    st.conversion = core::meta_state_convert(st.graph, st.cost, st.options);
   }
   const core::ConvertStats& s = st.conversion->stats;
   if (st.trace_sink) {
@@ -220,6 +217,24 @@ std::vector<std::string> default_pipeline() {
   for (const Pass& p : registered_passes())
     if (p.default_on) names.push_back(p.name);
   return names;
+}
+
+std::vector<std::string> shorthand_pipeline(bool compress, bool time_split,
+                                            bool subsume) {
+  std::vector<std::string> names = default_pipeline();
+  auto convert = std::find(names.begin(), names.end(), "convert");
+  if (compress) convert = std::next(names.insert(convert, "compress"));
+  if (time_split) names.insert(convert, "time-split");
+  if (!subsume) std::erase(names, "subsume");
+  return names;
+}
+
+std::vector<std::string> conversion_stages(std::vector<std::string> pipeline) {
+  std::erase_if(pipeline, [](const std::string& name) {
+    const Pass* p = find_pass(name);
+    return p && p->stage == Stage::IR;
+  });
+  return pipeline;
 }
 
 }  // namespace msc::pass

@@ -22,7 +22,7 @@ struct CachedConversion {
 
 /// Canonical cache key: the program text itself plus the resolved pipeline
 /// and the conversion options that are not passes. Two requests spelling
-/// the same compile differently (explicit pipeline vs option booleans)
+/// the same compile differently (explicit pipeline vs stage shorthands)
 /// canonicalize to the same key; two different sources never share one.
 std::string conversion_cache_key(const std::string& source,
                                  const std::vector<std::string>& pipeline,

@@ -64,13 +64,10 @@ struct Request {
 
   // compile / run
   std::string source;
-  /// Explicit pass pipeline ("pipeline": "compress,convert,subsume,...");
-  /// empty = derive from the option booleans exactly as mscc does.
+  /// Pass list: the "pipeline" field, else pass::shorthand_pipeline of the
+  /// "compress"/"time_split"/"subsume" fields. Empty = the default.
   std::vector<std::string> pipeline;
-  bool compress = false;
-  bool time_split = false;
   bool adaptive = false;
-  bool subsume = true;
   bool prune = false;
   std::size_t max_meta_states = 250'000;
 

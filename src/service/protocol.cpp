@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "msc/pass/pass.hpp"
 #include "msc/simd/machine.hpp"
 #include "msc/support/str.hpp"
 
@@ -133,6 +134,7 @@ Request parse_request(const std::string& line,
 
   const bool compile_like = req.op == Op::Compile || req.op == Op::Run;
   bool have_source = false;
+  bool compress = false, time_split = false, subsume = true;  // shorthands
 
   for (const auto& [key, value] : doc.members) {
     if (key == "op") continue;
@@ -167,11 +169,11 @@ Request parse_request(const std::string& line,
       continue;
     }
     if (compile_like && key == "compress") {
-      req.compress = bool_field(value, key);
+      compress = bool_field(value, key);
       continue;
     }
     if (compile_like && key == "time_split") {
-      req.time_split = bool_field(value, key);
+      time_split = bool_field(value, key);
       continue;
     }
     if (compile_like && key == "adaptive") {
@@ -179,7 +181,7 @@ Request parse_request(const std::string& line,
       continue;
     }
     if (compile_like && key == "subsume") {
-      req.subsume = bool_field(value, key);
+      subsume = bool_field(value, key);
       continue;
     }
     if (compile_like && key == "prune") {
@@ -265,6 +267,8 @@ Request parse_request(const std::string& line,
 
   if (compile_like && !have_source)
     bad(cat("op '", opname, "' requires a 'source' field"));
+  if (compile_like && req.pipeline.empty())
+    req.pipeline = pass::shorthand_pipeline(compress, time_split, subsume);
   if (req.op == Op::Coschedule && req.programs.empty())
     bad("op 'coschedule' requires a 'programs' field");
   if (req.op == Op::Run && req.initial_active > req.nprocs)

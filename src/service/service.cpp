@@ -44,9 +44,6 @@ struct BlockCharge {
 
 driver::PipelineOptions pipeline_options(const Request& request) {
   driver::PipelineOptions popts;
-  popts.convert.compress = request.compress;
-  popts.convert.time_split = request.time_split;
-  popts.convert.subsume = request.subsume;
   popts.convert.max_meta_states = request.max_meta_states;
   popts.adaptive = request.adaptive;
   popts.pipeline = request.pipeline;
@@ -303,7 +300,7 @@ std::shared_ptr<const CachedConversion> Service::convert_cached(
   driver::PipelineOptions popts = pipeline_options(request);
   // Canonicalize exactly as mscc does for --run: resolve the pass list,
   // then append codegen so run requests can share the compile's entry.
-  if (popts.pipeline.empty()) popts.pipeline = driver::resolve_pipeline(popts);
+  popts.pipeline = driver::resolve_pipeline(popts);
   if (std::find(popts.pipeline.begin(), popts.pipeline.end(), "codegen") ==
       popts.pipeline.end())
     popts.pipeline.push_back("codegen");

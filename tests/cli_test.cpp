@@ -266,6 +266,14 @@ TEST(Cli, PassPipelineSelectsExactPasses) {
       "--emit meta");
   EXPECT_EQ(expl.exit_code, 0) << expl.output;
   EXPECT_EQ(dflt.output, expl.output);
+  // The stage shorthands are the pass list they stand for.
+  auto shorthand = run_cli("--kernel listing4 --compress --split --emit meta");
+  auto spelled = run_cli(
+      "--kernel listing4 --pass-pipeline "
+      "simplify,peephole,compress,time-split,convert,subsume,straighten "
+      "--emit meta");
+  EXPECT_EQ(shorthand.exit_code, 0) << shorthand.output;
+  EXPECT_EQ(shorthand.output, spelled.output);
 
   // Unknown names and invariant-violating orders are usage errors (2).
   auto unknown = run_cli("--kernel listing1 --pass-pipeline convert,frobnicate");
@@ -319,6 +327,26 @@ TEST(Cli, MachineFaultExitsWithCode5) {
   EXPECT_NE(r.output.find("machine fault"), std::string::npos) << r.output;
 }
 
+TEST(Cli, IntegerFlagsRejectMalformedValuesWithUsageError) {
+  // Each value must be a whole decimal integer in the flag's range; before
+  // strict parsing "abc" read as 0 and "-1" wrapped around.
+  for (const char* flags :
+       {"--nprocs abc", "--nprocs 4x", "--nprocs 0", "--nprocs=", "--active -2",
+        "--seed x1", "--seed -5", "--threads -1", "--threads 2.5",
+        "--max-meta-states -1", "--max-meta-states 0",
+        "--max-meta-states 99999999999999999999", "--cosched-quantum 0"}) {
+    auto r = run_cli(std::string("--kernel listing1 --run ") + flags);
+    EXPECT_EQ(r.exit_code, 2) << flags << "\n" << r.output;
+    EXPECT_NE(r.output.find("expects an integer"), std::string::npos)
+        << flags << "\n" << r.output;
+  }
+  // Well-formed values still parse, in both spellings.
+  auto ok = run_cli("--kernel listing1 --run --nprocs 4 --active=-1 --seed 0 "
+                    "--threads=0 --max-meta-states 100 --emit meta");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("match : yes"), std::string::npos) << ok.output;
+}
+
 TEST(Cli, VerifyEachPassesOnDefaultPipeline) {
   // listing3 terminates under the default run config (listing4's MIMD
   // oracle exhausts the block budget regardless of PE count).
@@ -332,7 +360,7 @@ TEST(Cli, HelpDocumentsObservabilityFlagsAndExitCodes) {
   EXPECT_EQ(r.exit_code, 2);
   for (const char* text :
        {"--profile-simd", "--trace-chrome", "--metrics", "--trace-simd",
-        "--trace-convert", "--pass-timings", "mscprof",
+        "--trace-convert", "--pass-timings", "mscprof", "stage shorthands",
         "exit codes: 0 ok, 1 I/O or internal error, 2 usage/pipeline error",
         "3 compile error, 4 state explosion, 5 machine fault"})
     EXPECT_NE(r.output.find(text), std::string::npos) << text;

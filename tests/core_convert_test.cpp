@@ -6,6 +6,7 @@
 #include "msc/core/convert.hpp"
 #include "msc/core/time_split.hpp"
 #include "msc/driver/pipeline.hpp"
+#include "msc/pass/pass.hpp"
 #include "msc/workload/kernels.hpp"
 
 using namespace msc;
@@ -75,9 +76,12 @@ TEST(Convert, TerminalMetaStateHasNoArcs) {
 }
 
 TEST(Convert, Figure5CompressedTwoStates) {
-  ConvertOptions opts;
-  opts.compress = true;
-  MetaAutomaton aut = convert_src(workload::listing1().source, opts);
+  // Fig. 5 is the compressed automaton after subsumption.
+  auto compiled = driver::compile(workload::listing1().source);
+  MetaAutomaton aut = pass::run_conversion_pipeline(
+                          compiled.graph, kCost,
+                          {"compress", "convert", "subsume"}, {})
+                          .automaton;
   ASSERT_EQ(aut.num_states(), 2u) << aut.dump();
   EXPECT_EQ(member_sets(aut), (std::set<std::string>{"{0}", "{1,2,3}"}));
   // Entries into compressed states are unconditional (§3.2.2).
@@ -91,7 +95,6 @@ TEST(Convert, Figure5CompressedTwoStates) {
 TEST(Convert, CompressedWithoutSubsumptionKeepsIntermediateState) {
   ConvertOptions opts;
   opts.compress = true;
-  opts.subsume = false;
   MetaAutomaton aut = convert_src(workload::listing1().source, opts);
   EXPECT_EQ(aut.num_states(), 3u);  // {A}, {B;C,D;E}, {B;C,D;E,F}
   // The intermediate two-member state is strictly contained in the wide
@@ -383,16 +386,20 @@ TEST(ConvertStatsJson, ContainsEveryCounter) {
 }
 
 TEST(Convert, AdaptiveFallsBackToCompression) {
+  // The convert pass's adaptive policy.
   ConvertOptions opts;
   opts.max_meta_states = 200;
+  const std::vector<std::string> stages = {"convert", "subsume", "straighten"};
   // Small graph: base mode fits, stays uncompressed.
   auto small = driver::compile(workload::listing1().source);
-  auto a = meta_state_convert_adaptive(small.graph, kCost, opts);
+  auto a = pass::run_conversion_pipeline(small.graph, kCost, stages, opts,
+                                         /*adaptive=*/true);
   EXPECT_FALSE(a.automaton.compressed);
   EXPECT_EQ(a.automaton.num_states(), 8u);
   // Divergent loop chain: base explodes past 200 → compressed result.
   auto big = driver::compile(workload::loopy_source(8));
-  auto b = meta_state_convert_adaptive(big.graph, kCost, opts);
+  auto b = pass::run_conversion_pipeline(big.graph, kCost, stages, opts,
+                                         /*adaptive=*/true);
   EXPECT_TRUE(b.automaton.compressed);
   EXPECT_LT(b.automaton.num_states(), 200u);
   EXPECT_TRUE(b.automaton.validate(b.graph).empty());

@@ -242,6 +242,13 @@ TEST(FuzzSelftest, ManifestPipelineRoundTripAndLegacyFallback) {
   EXPECT_EQ(legacy.spec().pipeline,
             (std::vector<std::string>{"compress", "time-split", "convert",
                                       "straighten"}));
+  // The booleans are translated at parse time, so writing the manifest
+  // back out keeps the stages they stand for.
+  Manifest split = parse_manifest(
+      R"({"schema": 1, "source_file": "a.mimdc", "time_split": true})");
+  const std::string label = "time-split,convert,subsume,straighten-t1/fast";
+  EXPECT_EQ(split.spec().label(), label);
+  EXPECT_EQ(parse_manifest(to_json(split)).spec().label(), label);
   Manifest plain = parse_manifest(R"({"schema": 1, "source_file": "a.mimdc"})");
   EXPECT_EQ(plain.spec().pipeline,
             (std::vector<std::string>{"convert", "subsume", "straighten"}));

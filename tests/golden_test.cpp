@@ -23,9 +23,8 @@ TEST(Golden, Listing4MplSnapshot) {
   std::ostringstream want;
   want << in.rdbuf();
 
-  auto compiled = driver::compile(workload::listing4().source);
   ir::CostModel cost;
-  auto conv = core::meta_state_convert(compiled.graph, cost, {});
+  auto conv = driver::convert(workload::listing4().source, cost).conversion;
   auto prog = codegen::generate(conv.automaton, conv.graph, cost, {});
   std::string got = codegen::to_mpl(prog, conv.graph);
 
@@ -51,15 +50,15 @@ TEST(Golden, TraceSimdJsonSnapshot) {
   std::ostringstream want;
   want << in.rdbuf();
 
-  auto compiled = driver::compile(workload::listing1().source);
   ir::CostModel cost;
-  auto conv = core::meta_state_convert(compiled.graph, cost, {});
+  driver::Converted v = driver::convert(workload::listing1().source, cost);
+  const core::ConvertResult& conv = v.conversion;
   auto prog = codegen::generate(conv.automaton, conv.graph, cost, {});
   mimd::RunConfig config;
   config.nprocs = 4;
   config.simd_isa = SimdIsa::Scalar;  // host-independent snapshot
   auto machine = simd::make_machine(prog, cost, config);
-  driver::seed_machine(*machine, compiled, config, 1);
+  driver::seed_machine(*machine, v.compiled, config, 1);
   machine->run();
   std::string got = simd::to_json(*machine);
 

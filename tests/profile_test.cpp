@@ -2,21 +2,27 @@
 
 #include "msc/core/profile.hpp"
 #include "msc/driver/pipeline.hpp"
+#include "msc/pass/pass.hpp"
 #include "msc/workload/kernels.hpp"
 
 using namespace msc;
 using namespace msc::core;
 
 namespace {
-ir::CostModel kCost;
+
+/// The automaton mscc --emit profile reports for `src`.
+MetaAutomaton convert(const std::string& src,
+                      driver::PipelineOptions popts = {}) {
+  return driver::convert(src, {}, popts).conversion.automaton;
 }
 
+}  // namespace
+
 TEST(Profile, Listing1BaseShape) {
-  auto conv = core::meta_state_convert(
-      driver::compile(workload::listing1().source).graph, kCost, {});
-  AutomatonProfile p = profile(conv.automaton);
+  MetaAutomaton aut = convert(workload::listing1().source);
+  AutomatonProfile p = profile(aut);
   EXPECT_EQ(p.states, 8u);
-  EXPECT_EQ(p.arcs, conv.automaton.num_arcs());
+  EXPECT_EQ(p.arcs, aut.num_arcs());
   EXPECT_EQ(p.terminal_states, 1u);
   EXPECT_EQ(p.unconditional_states, 0u);
   EXPECT_EQ(p.max_width, 3u);
@@ -35,11 +41,9 @@ TEST(Profile, Listing1BaseShape) {
 }
 
 TEST(Profile, CompressedShape) {
-  core::ConvertOptions opts;
-  opts.compress = true;
-  auto conv = core::meta_state_convert(
-      driver::compile(workload::listing1().source).graph, kCost, opts);
-  AutomatonProfile p = profile(conv.automaton);
+  driver::PipelineOptions popts;
+  popts.pipeline = pass::shorthand_pipeline(/*compress=*/true, false, true);
+  AutomatonProfile p = profile(convert(workload::listing1().source, popts));
   EXPECT_EQ(p.states, 2u);
   EXPECT_EQ(p.unconditional_states, 2u);
   EXPECT_EQ(p.terminal_states, 0u);
@@ -47,18 +51,14 @@ TEST(Profile, CompressedShape) {
 }
 
 TEST(Profile, BarrierStatesCounted) {
-  core::ConvertOptions opts;
-  opts.barrier_mode = BarrierMode::PaperPrune;
-  auto conv = core::meta_state_convert(
-      driver::compile(workload::listing3().source).graph, kCost, opts);
-  AutomatonProfile p = profile(conv.automaton);
+  driver::PipelineOptions popts;
+  popts.convert.barrier_mode = BarrierMode::PaperPrune;
+  AutomatonProfile p = profile(convert(workload::listing3().source, popts));
   EXPECT_EQ(p.all_barrier_states, 1u);
 }
 
 TEST(Profile, TextReportContainsEverything) {
-  auto conv = core::meta_state_convert(
-      driver::compile(workload::listing1().source).graph, kCost, {});
-  std::string text = profile(conv.automaton).to_string();
+  std::string text = profile(convert(workload::listing1().source)).to_string();
   EXPECT_NE(text.find("states            8"), std::string::npos) << text;
   EXPECT_NE(text.find("width histogram"), std::string::npos);
   EXPECT_NE(text.find("degree histogram"), std::string::npos);

@@ -205,6 +205,47 @@ TEST(ServiceProtocol, RunHonoursSimdIsaField) {
   ASSERT_FALSE(bad.at("ok").b);
 }
 
+TEST(ServiceProtocol, StageShorthandsMatchTheExplicitPipeline) {
+  // The wire fields compress / time_split / subsume are shorthands for a
+  // pass list: each response must be byte-identical to the one for the
+  // same request spelling that list out, and the explicit request must hit
+  // the conversion cache entry the shorthand request filled.
+  const std::string source =
+      read_file(cat(MSC_CORPUS_DIR, "/kernel_oddeven.mimdc"));
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"\"compress\": true",
+       "simplify,peephole,compress,convert,subsume,straighten"},
+      {"\"time_split\": true",
+       "simplify,peephole,time-split,convert,subsume,straighten"},
+      {"\"subsume\": false", "simplify,peephole,convert,straighten"},
+  };
+  for (const char* op : {"compile", "run"}) {
+    Server s(cat("shorthand_", op));
+    const std::string head =
+        cat("{\"op\": \"", op, "\", \"source\": ", quoted(source), ", ");
+    for (const auto& [shorthand, pipeline] : pairs) {
+      std::string first = s.client.request(cat(head, shorthand, "}"), 60'000);
+      const std::string second = s.client.request(
+          cat(head, "\"pipeline\": ", quoted(pipeline), "}"), 60'000);
+      ASSERT_TRUE(json::parse(first).at("ok").b) << op << " " << shorthand;
+      EXPECT_EQ(json::parse(first).at("cache").as_string(), "miss");
+      EXPECT_EQ(json::parse(second).at("cache").as_string(), "hit")
+          << op << " " << shorthand;
+      // Only the cache state may differ.
+      const std::string miss = "\"cache\": \"miss\"";
+      const std::size_t at = first.find(miss);
+      ASSERT_NE(at, std::string::npos);
+      first.replace(at, miss.size(), "\"cache\": \"hit\"");
+      EXPECT_EQ(first, second) << op << " " << shorthand;
+    }
+    // Beside an explicit pipeline the shorthands are ignored.
+    const json::Value both = s.request(
+        cat(head, "\"compress\": true, \"pipeline\": ",
+            quoted(pairs.back().second), "}"));
+    EXPECT_EQ(both.at("cache").as_string(), "hit") << op;
+  }
+}
+
 TEST(ServiceProtocol, CoscheduleRoundTrip) {
   Server s("cosched");
   json::Value doc = s.request(
@@ -277,6 +318,9 @@ TEST(ServiceProtocol, MalformedFramesGetTypedErrors) {
       "protocol-error");
   expect_error(s.request("{\"op\": \"coschedule\", \"programs\": []}"),
                "protocol-error");
+  expect_error(s.request("{\"op\": \"compile\", \"source\": \"int main() "
+                         "{ return 0; }\", \"pipeline\": \"convert,frobnicate\"}"),
+               "pipeline-error");
 
   // Compile errors in valid requests are their own kind.
   expect_error(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "msc/driver/pipeline.hpp"
+#include "msc/pass/pass.hpp"
 #include "msc/mimd/machine.hpp"
 #include "msc/workload/kernels.hpp"
 
@@ -22,9 +23,9 @@ TEST(Smoke, Listing1BaseConversionEightMetaStates) {
 }
 
 TEST(Smoke, Listing1CompressedTwoMetaStates) {
-  core::ConvertOptions opts;
-  opts.compress = true;
-  auto v = driver::convert(workload::listing1().source, {}, opts);
+  driver::PipelineOptions popts;
+  popts.pipeline = pass::shorthand_pipeline(/*compress=*/true, false, true);
+  auto v = driver::convert(workload::listing1().source, {}, popts);
   // Fig. 5: two meta states.
   EXPECT_EQ(v.conversion.automaton.num_states(), 2u)
       << v.conversion.automaton.dump();

@@ -12,11 +12,9 @@ namespace {
 
 ir::CostModel kCost;
 
-ConvertResult convert_unstraightened(const std::string& src,
-                                     ConvertOptions opts = {}) {
-  opts.straighten = false;
+ConvertResult convert_unstraightened(const std::string& src) {
   auto compiled = driver::compile(src);
-  return meta_state_convert(compiled.graph, kCost, opts);
+  return meta_state_convert(compiled.graph, kCost);
 }
 
 }  // namespace
@@ -67,10 +65,9 @@ TEST(Straighten, IdempotentOnSecondPass) {
 TEST(Straighten, FallthroughsSaveCycles) {
   const std::string src = workload::kernel("barrier_pipeline").source;
   auto compiled = driver::compile(src);
-  ConvertOptions with, without;
-  without.straighten = false;
-  auto a = meta_state_convert(compiled.graph, kCost, with);
-  auto b = meta_state_convert(compiled.graph, kCost, without);
+  auto a = meta_state_convert(compiled.graph, kCost);
+  auto b = a;
+  straighten(a.automaton);
   mimd::RunConfig cfg;
   cfg.nprocs = 8;
   simd::SimdStats sa, sb;
@@ -83,7 +80,8 @@ TEST(Straighten, FallthroughsSaveCycles) {
 TEST(Straighten, WholeSuiteStillEquivalent) {
   for (const auto& k : workload::suite()) {
     auto compiled = driver::compile(k.source);
-    auto conv = meta_state_convert(compiled.graph, kCost, {});  // straighten on
+    auto conv = meta_state_convert(compiled.graph, kCost);
+    straighten(conv.automaton);
     mimd::RunConfig cfg;
     cfg.nprocs = 8;
     if (k.name == "spawn_tree") cfg.initial_active = 2;

@@ -19,6 +19,9 @@
 //   4  meta-state explosion (conversion exceeded --max-meta-states)
 //   5  machine fault while executing (--run)
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -63,20 +66,20 @@ int usage() {
       stderr,
       "usage: mscc [options] (file.mimdc | --kernel <name> | --coschedule L)\n"
       "\n"
-      "conversion stages (shorthands for pipeline edits):\n"
-      "  --compress          §2.5 meta-state compression\n"
+      "conversion (the first three are stage shorthands, pass-list edits\n"
+      "that an explicit --pass-pipeline overrides):\n"
+      "  --compress          add pass 'compress' (§2.5 meta-state compression)\n"
+      "  --split             add pass 'time-split' (§2.4 time splitting)\n"
+      "  --no-subsume        drop pass 'subsume' (keep subset meta states)\n"
       "  --adaptive          base conversion, compress only on state explosion\n"
-      "  --no-subsume        keep subset meta states when compressing\n"
       "  --prune             §2.6 barrier handling exactly as in the paper\n"
       "                      (compile error with spawn, more than one barrier\n"
       "                      state, or --compress — those corners are unsound)\n"
-      "  --split             §2.4 MIMD-state time splitting\n"
       "\n"
       "pass pipeline:\n"
       "  --print-pipeline    print the resolved pipeline and the full pass\n"
       "                      registry, then exit\n"
       "  --pass-pipeline L   run exactly the comma-separated pass list L\n"
-      "                      (overrides the stage shorthands above)\n"
       "  --disable-pass P    drop pass P from the pipeline (repeatable)\n"
       "  --verify-each       run the structural invariant checkers after\n"
       "                      every pass; a failure names the offending pass\n"
@@ -155,6 +158,21 @@ int usage() {
   return kUsage;
 }
 
+/// The value of integer flag `flag`: all of `text` must be a decimal
+/// integer in [lo, hi], else it is a usage error (exit 2).
+std::int64_t int_arg(const std::string& flag, const std::string& text,
+                     std::int64_t lo, std::int64_t hi = INT64_MAX) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  if (auto [p, ec] = std::from_chars(text.data(), end, v);
+      ec == std::errc{} && p == end && v >= lo && v <= hi)
+    return v;
+  std::fprintf(stderr, "mscc: %s expects an integer in [%lld, %lld], got '%s'\n",
+               flag.c_str(), static_cast<long long>(lo),
+               static_cast<long long>(hi), text.c_str());
+  std::exit(usage());
+}
+
 /// file:line:col: error: message, plus the offending source line with a
 /// caret under the column — the same rendering for every stage that can
 /// point at source.
@@ -185,7 +203,7 @@ void render_compile_error(const std::string& file, const std::string& source,
 
 int print_pipeline(const driver::PipelineOptions& popts) {
   pass::ManagerOptions mo;
-  mo.pipeline = driver::resolve_pipeline(popts);
+  mo.pipeline = popts.pipeline;
   mo.disabled = popts.disabled;
   pass::PassManager pm(std::move(mo));
   std::printf("pipeline: %s\n\n", join(pm.names(), " -> ").c_str());
@@ -211,7 +229,6 @@ int run_coschedule(const std::vector<std::string>& specs,
                    const std::string& trace_path, std::string& input_name,
                    std::string& source) {
   ir::CostModel cost;
-  if (popts.pipeline.empty()) popts.pipeline = driver::resolve_pipeline(popts);
   if (std::find(popts.pipeline.begin(), popts.pipeline.end(), "codegen") ==
       popts.pipeline.end())
     popts.pipeline.push_back("codegen");
@@ -316,6 +333,7 @@ int main(int argc, char** argv) {
   std::optional<std::string> verified_spec;
   bool user_nprocs = false;
   bool user_active = false;
+  bool compress = false, time_split = false, subsume = true;  // shorthands
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -335,17 +353,16 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(usage());
       return argv[++i];
     };
-    if (arg == "--compress") copts.compress = true;
+    if (arg == "--compress") compress = true;
     else if (arg == "--adaptive") popts.adaptive = true;
-    else if (arg == "--no-subsume") copts.subsume = false;
+    else if (arg == "--no-subsume") subsume = false;
     else if (arg == "--prune") copts.barrier_mode = core::BarrierMode::PaperPrune;
-    else if (arg == "--split") copts.time_split = true;
+    else if (arg == "--split") time_split = true;
     else if (arg == "--no-cache") copts.memoize = false;
     else if (arg == "--threads")
-      copts.threads = static_cast<unsigned>(std::atoll(next().c_str()));
+      copts.threads = static_cast<unsigned>(int_arg(arg, next(), 0, UINT_MAX));
     else if (arg == "--max-meta-states")
-      copts.max_meta_states =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
+      copts.max_meta_states = static_cast<std::size_t>(int_arg(arg, next(), 1));
     else if (arg == "--trace-convert") popts.trace_convert_path = next();
     else if (arg == "--print-pipeline") show_pipeline = true;
     else if (arg == "--pass-pipeline") {
@@ -381,15 +398,15 @@ int main(int argc, char** argv) {
     else if (arg == "--trace-chrome") trace_chrome_path = next();
     else if (arg == "--metrics") metrics_path = next();
     else if (arg == "--nprocs") {
-      config.nprocs = std::atoll(next().c_str());
+      config.nprocs = int_arg(arg, next(), 1);
       user_nprocs = true;
     }
     else if (arg == "--active") {
-      config.initial_active = std::atoll(next().c_str());
+      config.initial_active = int_arg(arg, next(), -1);
       user_active = true;
     }
     else if (arg == "--seed")
-      seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      seed = static_cast<std::uint64_t>(int_arg(arg, next(), 0));
     else if (arg == "--kernel") {
       const std::string name = next();
       if (kernels::is_verified(name.substr(0, name.find('@')))) {
@@ -412,7 +429,7 @@ int main(int argc, char** argv) {
       }
     }
     else if (arg == "--cosched-quantum")
-      co.quantum = std::atoll(next().c_str());
+      co.quantum = int_arg(arg, next(), 1);
     else if (arg == "--help" || arg == "-h") return usage();
     else if (!arg.empty() && arg[0] == '-') return usage();
     else {
@@ -427,6 +444,9 @@ int main(int argc, char** argv) {
       input_name = arg;
     }
   }
+
+  if (popts.pipeline.empty())
+    popts.pipeline = pass::shorthand_pipeline(compress, time_split, subsume);
 
   if (show_pipeline) {
     try {
@@ -460,10 +480,7 @@ int main(int argc, char** argv) {
   }
 
   const bool need_codegen = emit == "mpl" || run;
-  if (need_codegen) {
-    if (popts.pipeline.empty()) popts.pipeline = driver::resolve_pipeline(popts);
-    popts.pipeline.push_back("codegen");
-  }
+  if (need_codegen) popts.pipeline.push_back("codegen");
 
   // One sink spans the whole invocation: pipeline spans land on pid 1, the
   // SIMD machine's per-meta-state events (with --run) on pid 2.
