@@ -4,6 +4,8 @@
 #include "msc/driver/runner.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 
 namespace {
@@ -32,11 +34,13 @@ TEST_P(EquivalenceTest, SimdMatchesOracle) {
   auto compiled = driver::compile(k.source);
 
   core::ConvertOptions opts;
-  opts.compress = c.compress;
   opts.barrier_mode = c.barrier_mode;
-  opts.time_split = c.time_split;
   ir::CostModel cost;
-  auto conversion = core::meta_state_convert(compiled.graph, cost, opts);
+  auto conversion = test::convert(
+      compiled.graph, cost,
+      pass::conversion_stages(
+          pass::shorthand_pipeline(c.compress, c.time_split, true)),
+      opts);
   ASSERT_TRUE(conversion.automaton.validate(conversion.graph).empty())
       << conversion.automaton.dump();
 

@@ -16,6 +16,8 @@
 #include "msc/support/str.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 using simd::LaneStore;
 
@@ -139,7 +141,7 @@ TEST(LaneSeeding, FillLaneMatchesPokeLoopOnRealMachine) {
   auto compiled = driver::compile(workload::kernel("listing1").source);
   const auto* slot = compiled.layout.find("x");
   ASSERT_NE(slot, nullptr);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = test::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   for (std::int64_t n : kPeCounts) {
     SCOPED_TRACE(n);
@@ -197,7 +199,7 @@ TEST(LaneMachine, TailMasksNeverEnablePadPes) {
   // kernel at every edge count and demand scalar/vector bit-identity on
   // all three engines.
   auto compiled = driver::compile(workload::kernel("listing1").source);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = test::convert(compiled.graph, kCost);
   for (std::int64_t n : kPeCounts) {
     SCOPED_TRACE(n);
     mimd::RunConfig config;
@@ -212,7 +214,7 @@ TEST(LaneMachine, SpawnFreeListAndReuseAcrossWordBoundaries) {
   // columns. Both policies must stay bit-identical across ISAs exactly
   // at the word-boundary PE counts.
   auto compiled = driver::compile(workload::kernel("spawn_tree").source);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = test::convert(compiled.graph, kCost);
   for (std::int64_t n : {63ll, 64ll, 65ll}) {
     for (bool reuse : {false, true}) {
       SCOPED_TRACE(cat("n", n, reuse ? "/reuse" : "/fresh"));

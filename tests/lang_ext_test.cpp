@@ -7,6 +7,8 @@
 #include "msc/driver/runner.hpp"
 #include "msc/frontend/parser.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 using msc::CompileError;
 
@@ -31,9 +33,8 @@ std::int64_t run_checked(const std::string& src) {
   cfg.nprocs = 4;
   auto oracle = driver::run_oracle(compiled, cfg, 5);
   for (bool compress : {false, true}) {
-    core::ConvertOptions opts;
-    opts.compress = compress;
-    auto conv = core::meta_state_convert(compiled.graph, kCost, opts);
+    auto conv = test::convert(compiled.graph, kCost,
+                              compress ? test::kCompressStages : test::kStages);
     auto simd = driver::run_simd(compiled, conv, cfg, 5, kCost);
     EXPECT_TRUE(oracle == simd) << src << "\noracle: " << oracle.to_string()
                                 << "\nsimd:   " << simd.to_string();

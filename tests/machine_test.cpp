@@ -6,6 +6,8 @@
 #include "msc/simd/machine.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 
 namespace {
@@ -158,7 +160,7 @@ TEST(MimdMachine, CostModelIsCopiedAtConstruction) {
 
 TEST(SimdMachine, UtilizationIsOneWithoutDivergence) {
   auto c = compile("int main() { poly int a; a = 3 * 4; return a; }");
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 8;
@@ -171,7 +173,7 @@ TEST(SimdMachine, UtilizationIsOneWithoutDivergence) {
 
 TEST(SimdMachine, DivergenceCostsUtilization) {
   auto c = compile(workload::imbalanced_once_source(1, 12));
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 8;
@@ -186,7 +188,7 @@ TEST(SimdMachine, DivergenceCostsUtilization) {
 TEST(SimdMachine, TrackOccupancyNeedsNoRescues) {
   for (const auto& k : workload::suite()) {
     auto c = compile(k.source);
-    auto conv = core::meta_state_convert(c.graph, kCost, {});
+    auto conv = test::convert(c.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
     mimd::RunConfig cfg;
     cfg.nprocs = 8;
@@ -201,7 +203,7 @@ TEST(SimdMachine, TrackOccupancyNeedsNoRescues) {
 
 TEST(SimdMachine, StateVisitCountsCoverRun) {
   auto c = compile(workload::listing1().source);
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 4;
@@ -217,7 +219,7 @@ TEST(SimdMachine, StateVisitCountsCoverRun) {
 
 TEST(SimdMachine, GlobalOrCountMatchesMultiwayTraffic) {
   auto c = compile(workload::listing1().source);
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 4;
@@ -231,7 +233,7 @@ TEST(SimdMachine, GlobalOrCountMatchesMultiwayTraffic) {
 
 TEST(SimdMachine, ZeroActivePEsExitImmediately) {
   auto c = compile("int main() { return 1; }");
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 4;
@@ -245,7 +247,7 @@ TEST(SimdMachine, ZeroActivePEsExitImmediately) {
 TEST(SimdMachine, ControlCyclesAreChargedOncePerBroadcast) {
   // The whole point of SIMD: control cycles don't scale with PE count.
   auto c = compile(workload::kernel("uniform").source);
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   std::int64_t cycles_small, cycles_large;
   {
@@ -293,7 +295,7 @@ class RecordingTracer final : public simd::SimdTracer {
 
 TEST(SimdMachine, TracerSeesEveryStateAndTheExit) {
   auto c = compile(workload::listing1().source);
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 4;
@@ -319,7 +321,7 @@ TEST(SimdMachine, PeCountBoundaries) {
   // bitsets (1, 63, 64, 65, 127) plus a large non-power-of-two count.
   // Every engine must match the oracle and each other at every size.
   auto c = compile(workload::kernel("escape_iter").source);
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   for (std::int64_t nprocs : {1, 63, 64, 65, 127, 1000}) {
     SCOPED_TRACE(nprocs);
     mimd::RunConfig cfg;
@@ -344,7 +346,7 @@ TEST(SimdMachine, PeCountBoundaries) {
 
 TEST(SimdMachine, SpawnWithoutFreePEFaultsAllEngines) {
   auto c = compile("int main() { spawn { return 1; } return 0; }");
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
                       mimd::SimdEngine::Codegen}) {
@@ -373,7 +375,7 @@ int main() {
   return 1;
 }
 )");
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
                       mimd::SimdEngine::Codegen}) {
@@ -397,7 +399,7 @@ TEST(SimdMachine, TracerDoesNotChangeStats) {
   // Tracer inputs (occupancy, alive count, apc) are computed lazily; an
   // attached tracer must observe the run without perturbing any counter.
   auto c = compile(workload::listing1().source);
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
                       mimd::SimdEngine::Codegen}) {
@@ -420,7 +422,7 @@ TEST(SimdMachine, TracerDoesNotChangeStats) {
 
 TEST(SimdMachine, GuardSwitchesCounted) {
   auto c = compile(workload::listing1().source);
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 8;
@@ -437,7 +439,7 @@ TEST(SimdMachine, CostModelIsCopiedAtConstruction) {
   // A caller's CostModel may change or die after the machine is built
   // (e.g. make_machine(prog, {}, cfg)); every engine keeps its own copy.
   auto c = compile(workload::listing1().source);
-  auto conv = core::meta_state_convert(c.graph, kCost, {});
+  auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
                       mimd::SimdEngine::Codegen}) {

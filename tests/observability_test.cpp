@@ -21,6 +21,8 @@
 #include "msc/support/trace.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 namespace fs = std::filesystem;
 
@@ -110,7 +112,7 @@ TEST(Metrics, GlobalRegistryCarriesToolchainMetrics) {
   // shared the process-global registry, so assert presence + lower bound).
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
   auto compiled = driver::compile(workload::kernel("listing1").source);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = test::convert(compiled.graph, kCost);
   mimd::RunConfig rc;
   rc.nprocs = 4;
   driver::run_simd(compiled, conv, rc, 1, kCost, {});
@@ -387,7 +389,7 @@ TEST(ObservabilityCorpus, ProfileSumsMatchRunTotalsOnBothEngines) {
     codegen::SimdProgram prog;
     try {
       compiled = driver::compile(source);
-      conv = core::meta_state_convert(compiled.graph, kCost, {});
+      conv = test::convert(compiled.graph, kCost);
       prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
     } catch (const std::exception&) {
       continue;  // explosion/compile limits: not this test's concern

@@ -8,6 +8,8 @@
 #include "msc/workload/generator.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 using namespace msc::ir;
 
@@ -94,7 +96,7 @@ TEST(Peephole, WholeSuiteStillEquivalentToOracle) {
   ir::CostModel cost;
   for (const auto& k : workload::suite()) {
     auto compiled = driver::compile(k.source);  // peephole applied
-    auto conv = core::meta_state_convert(compiled.graph, cost, {});
+    auto conv = test::convert(compiled.graph, cost);
     mimd::RunConfig cfg;
     cfg.nprocs = 6;
     if (k.name == "spawn_tree") cfg.initial_active = 2;

@@ -10,6 +10,8 @@
 #include "msc/simd/machine.hpp"
 #include "msc/workload/generator.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 
 namespace {
@@ -49,12 +51,13 @@ TEST_P(RandomProgramTest, AllModesMatchOracle) {
         continue;
       }
       core::ConvertOptions opts;
-      opts.compress = compress;
       opts.barrier_mode = mode;
       opts.max_meta_states = 60000;
       core::ConvertResult conversion;
       try {
-        conversion = core::meta_state_convert(compiled.graph, cost, opts);
+        conversion = test::convert(
+            compiled.graph, cost,
+            compress ? test::kCompressStages : test::kStages, opts);
       } catch (const core::ExplosionError&) {
         continue;  // base-mode explosion is a measured phenomenon, not a bug
       }
@@ -112,7 +115,7 @@ TEST_P(BoundaryPeCountTest, AllEnginesMatchOracleAtWordBoundaries) {
   auto compiled = driver::compile(source);
   core::ConvertResult conversion;
   try {
-    conversion = core::meta_state_convert(compiled.graph, cost, {});
+    conversion = test::convert(compiled.graph, cost);
   } catch (const core::ExplosionError&) {
     GTEST_SKIP() << "base-mode explosion is a measured phenomenon, not a bug";
   }

@@ -5,6 +5,8 @@
 #include "msc/driver/runner.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 using namespace msc::core;
 
@@ -12,9 +14,11 @@ namespace {
 
 ir::CostModel kCost;
 
-Module module_of(const std::string& src, ConvertOptions opts = {}) {
+Module module_of(const std::string& src,
+                 const std::vector<std::string>& stages = test::kStages,
+                 const ConvertOptions& opts = {}) {
   auto compiled = driver::compile(src);
-  auto conv = meta_state_convert(compiled.graph, kCost, opts);
+  auto conv = test::convert(compiled.graph, kCost, stages, opts);
   return Module{std::move(conv.graph), std::move(conv.automaton), conv.stats};
 }
 
@@ -23,9 +27,8 @@ Module module_of(const std::string& src, ConvertOptions opts = {}) {
 TEST(Serialize, RoundTripPreservesStructure) {
   for (const auto& k : workload::suite()) {
     for (bool compress : {false, true}) {
-      ConvertOptions opts;
-      opts.compress = compress;
-      Module a = module_of(k.source, opts);
+      Module a = module_of(
+          k.source, compress ? test::kCompressStages : test::kStages);
       Module b = deserialize(serialize(a));
       // Graph identical.
       EXPECT_EQ(a.graph.dump(), b.graph.dump()) << k.name;
@@ -39,7 +42,7 @@ TEST(Serialize, RoundTripPreservesStructure) {
 TEST(Serialize, ReloadedModuleExecutesIdentically) {
   const auto& k = workload::listing1();
   auto compiled = driver::compile(k.source);
-  auto conv = meta_state_convert(compiled.graph, kCost, {});
+  auto conv = test::convert(compiled.graph, kCost);
   Module reloaded =
       deserialize(serialize(Module{conv.graph, conv.automaton}));
 
@@ -86,8 +89,8 @@ TEST(Serialize, RoundTripsFullConfiguration) {
   // a round trip — not just the graph/automaton structure.
   ConvertOptions opts;
   opts.barrier_mode = BarrierMode::PaperPrune;
-  opts.time_split = true;
-  Module a = module_of(workload::listing3().source, opts);
+  Module a =
+      module_of(workload::listing3().source, test::kSplitStages, opts);
   ASSERT_EQ(a.automaton.barrier_mode, BarrierMode::PaperPrune);
   Module b = deserialize(serialize(a));
   EXPECT_EQ(b.automaton.barrier_mode, BarrierMode::PaperPrune);

@@ -15,6 +15,8 @@
 #include "msc/support/trace.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 
 namespace {
@@ -85,11 +87,10 @@ TEST_P(SimdDifferentialTest, EnginesBitIdenticalAcrossSeedsAndModes) {
 
   int combos = 0;
   for (bool compress : {false, true}) {
-    core::ConvertOptions opts;
-    opts.compress = compress;
     core::ConvertResult conv;
     try {
-      conv = core::meta_state_convert(compiled.graph, kCost, opts);
+      conv = test::convert(compiled.graph, kCost,
+                           compress ? test::kCompressStages : test::kStages);
     } catch (const core::ExplosionError&) {
       continue;  // base-mode explosion is a measured phenomenon, not a bug
     }
@@ -121,7 +122,7 @@ TEST(SimdDifferential, ScalarVsVectorBitIdenticalOnAllEngines) {
   for (const Case& c : all_cases()) {
     SCOPED_TRACE(c.name);
     auto compiled = driver::compile(c.source);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = test::convert(compiled.graph, kCost);
     for (std::int64_t nprocs : {8ll, 65ll}) {
       SCOPED_TRACE(nprocs);
       mimd::RunConfig config;
@@ -156,7 +157,7 @@ TEST(SimdDifferential, SpawnReusePolicyIdentical) {
   // path of the free pool — the exact paths the fast engine's free list
   // replaces, so compare both policies differentially.
   auto compiled = driver::compile(workload::kernel("spawn_tree").source);
-  auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  auto conv = test::convert(compiled.graph, kCost);
   for (bool reuse : {false, true}) {
     mimd::RunConfig config;
     config.nprocs = 8;
@@ -194,7 +195,7 @@ TEST(SimdDifferential, ObservabilityNeverChangesExecution) {
   for (const char* name : {"listing1", "spawn_tree", "oddeven_sort"}) {
     SCOPED_TRACE(name);
     auto compiled = driver::compile(workload::kernel(name).source);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = test::convert(compiled.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
     mimd::RunConfig config;
     config.nprocs = 8;
@@ -268,7 +269,7 @@ TEST(SimdDifferential, TracerStreamsIdentical) {
   // the streams must still match event for event.
   for (const char* name : {"listing1", "spawn_tree", "oddeven_sort"}) {
     auto compiled = driver::compile(workload::kernel(name).source);
-    auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+    auto conv = test::convert(compiled.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
     mimd::RunConfig config;
     config.nprocs = 8;

@@ -14,6 +14,8 @@
 #include "msc/workload/generator.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 using namespace msc::core;
 
@@ -51,13 +53,11 @@ TEST(CompressionSoundness, BaseOccupanciesContainedInCompressedStates) {
     base_opts.max_meta_states = 100000;
     ConvertResult base;
     try {
-      base = meta_state_convert(compiled.graph, kCost, base_opts);
+      base = test::convert(compiled.graph, kCost, test::kStages, base_opts);
     } catch (const ExplosionError&) {
       continue;
     }
-    ConvertOptions copts;
-    copts.compress = true;
-    auto comp = meta_state_convert(compiled.graph, kCost, copts);
+    auto comp = test::convert(compiled.graph, kCost, test::kCompressStages);
     // Invariant 4: each base meta state's members (an exact reachable
     // occupancy) must be ⊆ the members of some compressed state.
     for (const MetaState& bs : base.automaton.states) {
@@ -82,7 +82,7 @@ TEST(MultiBarrier, TrackOccupancyIsExactWithoutRescues) {
   auto compiled = driver::compile(kTwoBarrierSource);
   ConvertOptions opts;
   opts.barrier_mode = BarrierMode::TrackOccupancy;
-  auto conv = meta_state_convert(compiled.graph, kCost, opts);
+  auto conv = test::convert(compiled.graph, kCost, test::kStages, opts);
   mimd::RunConfig cfg;
   cfg.nprocs = 8;
   for (std::uint64_t seed : {1ull, 5ull, 9ull}) {
@@ -142,9 +142,7 @@ int main() {
 
 TEST(MultiBarrier, CompressedHandlesBothBarriers) {
   auto compiled = driver::compile(kTwoBarrierSource);
-  ConvertOptions opts;
-  opts.compress = true;
-  auto conv = meta_state_convert(compiled.graph, kCost, opts);
+  auto conv = test::convert(compiled.graph, kCost, test::kCompressStages);
   mimd::RunConfig cfg;
   cfg.nprocs = 8;
   auto oracle = driver::run_oracle(compiled, cfg, 3);
@@ -183,7 +181,7 @@ int f(int n) {
 int main() { return f(x % 10); }
 )";
   auto compiled = driver::compile(src);
-  auto conv = meta_state_convert(compiled.graph, kCost, {});
+  auto conv = test::convert(compiled.graph, kCost);
   mimd::RunConfig cfg;
   cfg.nprocs = 6;
   auto oracle = driver::run_oracle(compiled, cfg, 2);
@@ -205,9 +203,8 @@ TEST(RandomPrograms, WithNewSyntaxStillEquivalent) {
     std::string source = workload::generate_program(seed, gen);
     SCOPED_TRACE(source);
     auto compiled = driver::compile(source);
-    ConvertOptions opts;
-    opts.compress = true;  // compression never explodes
-    auto conv = meta_state_convert(compiled.graph, kCost, opts);
+    // compression never explodes
+    auto conv = test::convert(compiled.graph, kCost, test::kCompressStages);
     mimd::RunConfig cfg;
     cfg.nprocs = 5;
     auto oracle = driver::run_oracle(compiled, cfg, seed);

@@ -12,6 +12,8 @@
 #include "msc/simd/machine.hpp"
 #include "msc/workload/kernels.hpp"
 
+#include "user_conversion.hpp"
+
 using namespace msc;
 
 namespace {
@@ -21,7 +23,7 @@ ir::CostModel kCost;
 codegen::SimdProgram program_for(const std::string& source,
                                  const ir::CostModel& cost) {
   auto compiled = driver::compile(source);
-  auto conv = core::meta_state_convert(compiled.graph, cost, {});
+  auto conv = test::convert(compiled.graph, cost);
   return codegen::generate(conv.automaton, conv.graph, cost, {});
 }
 
