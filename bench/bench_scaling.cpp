@@ -25,10 +25,11 @@ namespace {
 ir::CostModel kCost;
 constexpr std::uint64_t kSeed = 59;
 
-/// Best-of-9 wall-clock seconds for run() on one engine. Construction and
-/// seeding are untimed: they are engine-independent (and dominated by
-/// zero-filling nprocs * local_mem_cells of PE memory), while the engines
-/// differ only in the broadcast/step hot path being measured.
+/// Best-of-9 wall-clock seconds for run() on one engine, in the default
+/// configuration (4096 local cells per PE). Construction and seeding are
+/// untimed: they are engine-independent and O(1) in local_mem_cells (the
+/// lane store maps zero pages), while the engines differ only in the
+/// broadcast/step hot path being measured.
 double time_engine(const codegen::SimdProgram& prog,
                    const driver::Compiled& compiled, mimd::RunConfig cfg,
                    simd::SimdStats* stats_out) {
@@ -64,10 +65,6 @@ void report_engines() {
       mimd::RunConfig cfg;
       cfg.nprocs = n;
       cfg.initial_active = n / 64;
-      // Kernels here are non-recursive and use a handful of cells; the
-      // 4096-cell default would zero-fill up to 0.5 GB per rep and evict
-      // the caches the timed run() depends on.
-      cfg.local_mem_cells = 256;
       simd::SimdStats fast_stats, ref_stats;
       cfg.engine = mimd::SimdEngine::Fast;
       double fast_s = time_engine(prog, compiled, cfg, &fast_stats);
@@ -138,7 +135,6 @@ void report_translation_cache() {
   for (std::int64_t n : {256, 1024, 4096}) {
     mimd::RunConfig cfg;
     cfg.nprocs = n;
-    cfg.local_mem_cells = 256;  // see report_engines()
     cfg.simd_isa = SimdIsa::Scalar;
     simd::SimdStats fast_stats, cg_stats;
     cfg.engine = mimd::SimdEngine::Fast;
@@ -213,7 +209,6 @@ void report_vectorization() {
   for (std::int64_t n : {256, 1024, 4096}) {
     mimd::RunConfig cfg;
     cfg.nprocs = n;
-    cfg.local_mem_cells = 256;  // see report_engines()
     cfg.engine = mimd::SimdEngine::Fast;
     simd::SimdStats scalar_stats, vec_stats;
     cfg.simd_isa = SimdIsa::Scalar;
@@ -248,7 +243,6 @@ void report_vectorization() {
     mimd::RunConfig cfg;
     cfg.nprocs = n;
     cfg.initial_active = n / 64;
-    cfg.local_mem_cells = 256;
     cfg.engine = mimd::SimdEngine::Fast;
     simd::SimdStats scalar_stats, vec_stats;
     cfg.simd_isa = SimdIsa::Scalar;
@@ -281,7 +275,6 @@ void report_observability() {
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 1024;
-  cfg.local_mem_cells = 256;  // see report_engines()
 
   simd::SimdStats stats;
   // All four modes are timed inside each rep (interleaved, rotating start
@@ -415,7 +408,6 @@ void BM_SimdEngineSparse(benchmark::State& state) {
   mimd::RunConfig cfg;
   cfg.nprocs = state.range(0);
   cfg.initial_active = cfg.nprocs / 64;
-  cfg.local_mem_cells = 256;  // see report_engines()
   cfg.engine = state.range(1) == 0   ? mimd::SimdEngine::Fast
                : state.range(1) == 1 ? mimd::SimdEngine::Reference
                                      : mimd::SimdEngine::Codegen;

@@ -30,13 +30,17 @@ class MemoryBus {
 /// variable out as one contiguous lane; `stride` is the element distance
 /// between consecutive addresses (1 for the per-PE machines, the padded
 /// lane width for the lane-major store). A default view has zero cells,
-/// so every access faults like an empty local memory.
+/// so every access faults like an empty local memory. `used`, when set,
+/// is the store's written-address high-water mark: put() raises it to
+/// one past `addr`, so the lane-major store knows which addresses a spawn
+/// reset must clear. The per-PE machines pass nullptr.
 struct LocalView {
   std::uint8_t* tag = nullptr;
   std::int64_t* ival = nullptr;
   double* fval = nullptr;
   std::size_t stride = 1;
   std::int64_t cells = 0;
+  std::int64_t* used = nullptr;
 
   Value get(std::int64_t addr) const {
     Value v;
@@ -50,6 +54,7 @@ struct LocalView {
     tag[at] = static_cast<std::uint8_t>(v.kind);
     ival[at] = v.i;
     fval[at] = v.f;
+    if (used != nullptr && addr >= *used) *used = addr + 1;
   }
 };
 
@@ -63,14 +68,14 @@ class SoaLocal {
   void set(std::int64_t addr, const Value& v) { view().put(addr, v); }
   std::int64_t cells() const { return cells_; }
   LocalView view() {
-    return {tag_.data(), ival_.data(), fval_.data(), 1, cells_};
+    return {tag_.data(), ival_.data(), fval_.data(), 1, cells_, nullptr};
   }
 
  private:
   LocalView view_const() const {
     return {const_cast<std::uint8_t*>(tag_.data()),
             const_cast<std::int64_t*>(ival_.data()),
-            const_cast<double*>(fval_.data()), 1, cells_};
+            const_cast<double*>(fval_.data()), 1, cells_, nullptr};
   }
   std::vector<std::uint8_t> tag_;
   std::vector<std::int64_t> ival_;

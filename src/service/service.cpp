@@ -370,11 +370,17 @@ std::string Service::do_run(const Request& request, RequestTrace& rt) {
   const driver::Observed observed =
       driver::observe_simd(*machine, converted.compiled, config);
   rt.phases.run += now_us() - r0;
-  return cat("\"pipeline\": ", string_array(cached->pipeline),
-             ", \"cache\": ", quoted(rt.cache_state),
-             ", \"engine\": ", quoted(simd::engine_name(config.engine)),
-             ", \"observed\": ", quoted(observed.to_string()),
-             ", \"simd\": ", quoted(simd::to_json(*machine)));
+  std::string payload =
+      cat("\"pipeline\": ", string_array(cached->pipeline),
+          ", \"cache\": ", quoted(rt.cache_state),
+          ", \"engine\": ", quoted(simd::engine_name(config.engine)),
+          ", \"observed\": ", quoted(observed.to_string()),
+          ", \"simd\": ", quoted(simd::to_json(*machine)));
+  // Tearing the machine down is part of the run, not of serialization.
+  const std::int64_t t0 = now_us();
+  machine.reset();
+  rt.phases.run += now_us() - t0;
+  return payload;
 }
 
 std::string Service::do_coschedule(const Request& request, RequestTrace& rt) {
@@ -396,11 +402,13 @@ std::string Service::do_coschedule(const Request& request, RequestTrace& rt) {
     config.nprocs = c.config.nprocs;
     config.initial_active = c.config.initial_active;
     config.reuse_halted_pes = c.config.reuse_halted_pes;
+    const std::int64_t c0 = now_us();
     auto machine = simd::make_machine(*cached->converted.prog, cost, config);
     driver::seed_machine(*machine, cached->converted.compiled, config,
                          request.seed);
     if (request.profile) machine->enable_profiling();
     cs.add_program(spec, std::move(machine));
+    rt.phases.run += now_us() - c0;
     converted.push_back(std::move(cached));
     cases.push_back(std::move(c));
     configs.push_back(config);
@@ -421,12 +429,16 @@ std::string Service::do_coschedule(const Request& request, RequestTrace& rt) {
     verdicts.push_back(verdict.empty() ? "ok" : verdict);
   }
   rt.phases.run += now_us() - r0;
-
-  return cat("\"policy\": ", quoted(simd::copolicy_name(r.policy)),
-             ", \"quantum\": ", r.quantum,
-             ", \"machine_pes\": ", r.machine_pes,
-             ", \"verdicts\": ", string_array(verdicts),
-             ", \"cosched\": ", quoted(simd::to_json(r)));
+  std::string payload =
+      cat("\"policy\": ", quoted(simd::copolicy_name(r.policy)),
+          ", \"quantum\": ", r.quantum,
+          ", \"machine_pes\": ", r.machine_pes,
+          ", \"verdicts\": ", string_array(verdicts),
+          ", \"cosched\": ", quoted(simd::to_json(r)));
+  const std::int64_t t0 = now_us();
+  cs = simd::CoScheduler();  // machine teardown belongs to the run
+  rt.phases.run += now_us() - t0;
+  return payload;
 }
 
 std::string Service::do_stats(const Request& request) {

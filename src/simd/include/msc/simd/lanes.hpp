@@ -21,6 +21,7 @@
 // fault messages/ordering match the scalar interpreter.
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -52,6 +53,15 @@ inline void for_each_lane_bit(const std::uint64_t* mask, std::size_t nwords,
 /// of the three payload arrays) plus the per-PE operand stacks. width() is
 /// nprocs rounded up to a multiple of 64; the pad elements stay zeroed
 /// Value{}s and are never enabled by any mask.
+///
+/// PE memory costs what the program writes (DESIGN.md §14.1). The payload
+/// arrays come zeroed from calloc, which for blocks this large maps fresh
+/// zero pages instead of clearing them: construction is O(1) and resident
+/// memory follows the lanes actually touched. used() is one past the
+/// highest address any write has reached (store, fill_int_lane, pe_view
+/// puts and the executor's lane stores all raise it), so clear_pe zeroes
+/// [0, used()) only — every cell above was never written and is still
+/// zero. cells() stays the address bound every fault checks.
 class LaneStore {
  public:
   LaneStore(std::int64_t nprocs, std::int64_t cells);
@@ -59,6 +69,12 @@ class LaneStore {
   std::int64_t nprocs() const { return nprocs_; }
   std::int64_t width() const { return width_; }
   std::int64_t cells() const { return cells_; }
+  /// One past the highest local address written so far (0 when none).
+  std::int64_t used() const { return used_; }
+  /// Record a write at `addr` (already bounds-checked against cells()).
+  void note_write(std::int64_t addr) {
+    if (addr >= used_) used_ = addr + 1;
+  }
   std::size_t mask_words() const {
     return static_cast<std::size_t>(width_) / 64;
   }
@@ -71,20 +87,21 @@ class LaneStore {
   }
 
   /// Scalar window for exec_instr: base pointers pre-offset by `pe`,
-  /// stride = width().
+  /// stride = width(). Its puts raise used().
   ir::LocalView pe_view(std::int64_t pe) {
-    return {tags_.data() + pe, ints_.data() + pe, floats_.data() + pe,
-            static_cast<std::size_t>(width_), cells_};
+    return {tags_.get() + pe, ints_.get() + pe, floats_.get() + pe,
+            static_cast<std::size_t>(width_), cells_, &used_};
   }
 
+  /// Raw lanes. Writers through these pointers call note_write(addr).
   std::uint8_t* tag_lane(std::int64_t addr) {
-    return tags_.data() + static_cast<std::size_t>(addr * width_);
+    return tags_.get() + static_cast<std::size_t>(addr * width_);
   }
   std::int64_t* int_lane(std::int64_t addr) {
-    return ints_.data() + static_cast<std::size_t>(addr * width_);
+    return ints_.get() + static_cast<std::size_t>(addr * width_);
   }
   double* float_lane(std::int64_t addr) {
-    return floats_.data() + static_cast<std::size_t>(addr * width_);
+    return floats_.get() + static_cast<std::size_t>(addr * width_);
   }
 
   std::vector<Value>& stack(std::int64_t pe) {
@@ -94,7 +111,8 @@ class LaneStore {
     return stacks_[static_cast<std::size_t>(pe)];
   }
 
-  /// Spawn reset: zero the PE's local column and clear its stack.
+  /// Spawn reset: zero the PE's local column below used() and clear its
+  /// stack.
   void clear_pe(std::int64_t pe);
 
   /// Seed one address across all PEs from per-PE integers
@@ -105,18 +123,23 @@ class LaneStore {
 
  private:
   ir::LocalView pe_view_const(std::int64_t pe) const {
-    return {const_cast<std::uint8_t*>(tags_.data()) + pe,
-            const_cast<std::int64_t*>(ints_.data()) + pe,
-            const_cast<double*>(floats_.data()) + pe,
-            static_cast<std::size_t>(width_), cells_};
+    return {tags_.get() + pe, ints_.get() + pe, floats_.get() + pe,
+            static_cast<std::size_t>(width_), cells_, nullptr};
   }
+
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+  template <typename T>
+  using Lanes = std::unique_ptr<T[], FreeDeleter>;
 
   std::int64_t nprocs_;
   std::int64_t width_;
   std::int64_t cells_;
-  std::vector<std::uint8_t> tags_;
-  std::vector<std::int64_t> ints_;
-  std::vector<double> floats_;
+  std::int64_t used_ = 0;
+  Lanes<std::uint8_t> tags_;
+  Lanes<std::int64_t> ints_;
+  Lanes<double> floats_;
   std::vector<std::vector<Value>> stacks_;
 };
 

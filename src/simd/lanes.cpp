@@ -9,7 +9,9 @@
 // end, so the observable stack state is identical to scalar execution.
 #include "msc/simd/lanes.hpp"
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "msc/support/str.hpp"
 
@@ -27,19 +29,28 @@ using ir::Opcode;
 
 namespace {
 std::int64_t round_up64(std::int64_t n) { return (n + 63) & ~std::int64_t{63}; }
+
+/// `n` zeroed elements from calloc. All-zero bytes are Value{} (int 0) in
+/// every payload array, and large blocks arrive as untouched zero pages.
+template <typename T>
+T* zeroed_lanes(std::int64_t n) {
+  void* p = std::calloc(static_cast<std::size_t>(n), sizeof(T));
+  if (p == nullptr && n != 0) throw std::bad_alloc();
+  return static_cast<T*>(p);
+}
 }  // namespace
 
 LaneStore::LaneStore(std::int64_t nprocs, std::int64_t cells)
     : nprocs_(nprocs),
       width_(round_up64(nprocs < 1 ? 1 : nprocs)),
       cells_(cells),
-      tags_(static_cast<std::size_t>(width_ * cells), 0),
-      ints_(static_cast<std::size_t>(width_ * cells), 0),
-      floats_(static_cast<std::size_t>(width_ * cells), 0.0),
+      tags_(zeroed_lanes<std::uint8_t>(width_ * cells)),
+      ints_(zeroed_lanes<std::int64_t>(width_ * cells)),
+      floats_(zeroed_lanes<double>(width_ * cells)),
       stacks_(static_cast<std::size_t>(nprocs)) {}
 
 void LaneStore::clear_pe(std::int64_t pe) {
-  for (std::int64_t addr = 0; addr < cells_; ++addr) {
+  for (std::int64_t addr = 0; addr < used_; ++addr) {
     const std::size_t at = static_cast<std::size_t>(addr * width_ + pe);
     tags_[at] = 0;
     ints_[at] = 0;
@@ -50,6 +61,7 @@ void LaneStore::clear_pe(std::int64_t pe) {
 
 void LaneStore::fill_int_lane(std::int64_t addr, const std::int64_t* vals,
                               std::int64_t n) {
+  note_write(addr);
   std::memcpy(int_lane(addr), vals, static_cast<std::size_t>(n) * sizeof(std::int64_t));
   std::memset(tag_lane(addr), 0, static_cast<std::size_t>(n));
   std::fill_n(float_lane(addr), static_cast<std::size_t>(n), 0.0);
@@ -494,6 +506,7 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
       }
       case LOpKind::StoreLane: {
         check_local(op.n, "local store out of range: ");
+        store_.note_write(op.n);
         LaneBuf& b = slot(depth_ - 1);
         std::uint8_t* tl = store_.tag_lane(op.n);
         std::int64_t* il = store_.int_lane(op.n);
@@ -553,6 +566,7 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
         for_each_lane_bit(mask, nwords_, [&](std::size_t k) {
           const std::int64_t a = slot_value(addr, k).as_int();
           check_local(a, "local store out of range: ");
+          store_.note_write(a);
           store_.tag_lane(a)[k] = val.tag[k];
           store_.int_lane(a)[k] = val.ival[k];
           store_.float_lane(a)[k] = val.fval[k];

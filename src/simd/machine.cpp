@@ -288,6 +288,9 @@ void SimdMachine::publish_metrics() {
   static Counter& rescues = reg.counter("simd.rescue_transitions");
   static Histogram& util = reg.histogram(
       "simd.utilization_pct", {10, 20, 30, 40, 50, 60, 70, 80, 90});
+  // PE-memory high water: local cells the run wrote, of local_mem_cells.
+  static Histogram& cells_used =
+      reg.histogram("simd.pe_cells_used", Histogram::pow2_bounds(13));
   static telemetry::Gauge& isa_width = reg.gauge("simd.isa_lane_width");
   isa_width.set(simd_isa_lane_width(isa_));
   runs.add();
@@ -299,6 +302,7 @@ void SimdMachine::publish_metrics() {
   routers.add(stats_.router_ops);
   rescues.add(stats_.rescue_transitions);
   util.record(static_cast<std::int64_t>(stats_.utilization() * 100.0));
+  cells_used.record(lanes_.used());
 }
 
 std::unique_ptr<SimdMachine> make_machine(const codegen::SimdProgram& program,

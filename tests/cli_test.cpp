@@ -1,5 +1,6 @@
-// Integration test for the mscc command-line driver: invokes the built
-// binary (path injected by CMake) and checks output/exit codes.
+// Integration test for the mscc command-line driver (and mscli's argument
+// parsing): invokes the built binaries (paths injected by CMake) and
+// checks output/exit codes.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,8 +16,8 @@ struct CliResult {
   std::string output;
 };
 
-CliResult run_cli(const std::string& args) {
-  std::string cmd = std::string(MSCC_BINARY) + " " + args + " 2>&1";
+CliResult run_binary(const std::string& binary, const std::string& args) {
+  std::string cmd = binary + " " + args + " 2>&1";
   std::array<char, 4096> buf{};
   CliResult res;
   FILE* pipe = popen(cmd.c_str(), "r");
@@ -30,6 +31,10 @@ CliResult run_cli(const std::string& args) {
   int status = pclose(pipe);
   res.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return res;
+}
+
+CliResult run_cli(const std::string& args) {
+  return run_binary(MSCC_BINARY, args);
 }
 
 }  // namespace
@@ -431,4 +436,32 @@ TEST(Cli, FlagEqualsValueFormAccepted) {
   auto r = run_cli("--kernel=listing1 --emit=meta --threads=2");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("meta-state automaton"), std::string::npos);
+}
+
+TEST(Mscli, IntegerFlagsRejectMalformedValuesBeforeConnecting) {
+  // No daemon listens on this socket, so a well-formed request fails to
+  // connect (exit 1). Exit 2 with the flag's message therefore shows the
+  // value was rejected before any connection attempt, instead of being
+  // dropped from the frame or sent as a different number.
+  const std::string socket =
+      std::string("--socket ") + MSCC_TMPDIR + "/cli_test_no_daemon.sock ";
+  for (const char* args :
+       {"run f.mimdc --seed -5", "run f.mimdc --max-blocks -3",
+        "run f.mimdc --seed abc", "run f.mimdc --nprocs 16384x",
+        "run f.mimdc --nprocs 0", "run f.mimdc --active -2",
+        "run f.mimdc --nprocs 99999999999999999999",
+        "compile f.mimdc --max-meta-states ''",
+        "coschedule reduce --quantum 0"}) {
+    SCOPED_TRACE(args);
+    auto r = run_binary(MSCLI_BINARY, socket + args);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("expects an integer"), std::string::npos)
+        << r.output;
+  }
+  auto ok = run_binary(MSCLI_BINARY,
+                       socket + "run f.mimdc --nprocs 16384 --seed 5 "
+                                "--active -1 --max-blocks 3");
+  EXPECT_EQ(ok.exit_code, 1) << ok.output;
+  EXPECT_EQ(ok.output.find("expects an integer"), std::string::npos)
+      << ok.output;
 }

@@ -4,13 +4,19 @@
 // byte-identical to the per-PE poke path it replaced. Machine-level
 // companions (tail masks never enable pad PEs, spawn free-list /
 // reuse_halted_pes on the lane store) run the real engines at the same
-// PE counts and compare scalar vs host-vector execution.
+// PE counts and compare scalar vs host-vector execution. The last two
+// groups pin the zero-page store: spawn resets clear every address any
+// write path reached, and a 16K-PE machine costs what it touches.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
+#include "msc/kernels/verified.hpp"
 #include "msc/simd/lanes.hpp"
 #include "msc/simd/machine.hpp"
 #include "msc/support/str.hpp"
@@ -107,6 +113,28 @@ TEST(LaneStore, ClearPeResetsOneColumnOnly) {
     EXPECT_EQ(ls.load(63, a).as_int(), 100 * 63 + a) << "neighbour clobbered";
     EXPECT_EQ(ls.load(0, a).as_int(), a) << "neighbour clobbered";
   }
+}
+
+TEST(LaneStore, WritesRaiseTheHighWaterMark) {
+  LaneStore ls(65, 64);
+  EXPECT_EQ(ls.used(), 0);
+  // Reads never raise it.
+  EXPECT_EQ(ls.load(3, 40).as_int(), 0);
+  EXPECT_EQ(ls.used(), 0);
+  ls.store(3, 9, Value::of_int(1));
+  EXPECT_EQ(ls.used(), 10);
+  ls.store(64, 2, Value::of_int(1));  // below the mark: unchanged
+  EXPECT_EQ(ls.used(), 10);
+  const std::vector<std::int64_t> vals(65, 5);
+  ls.fill_int_lane(20, vals.data(), 65);
+  EXPECT_EQ(ls.used(), 21);
+  ls.pe_view(0).put(33, Value::of_float(2.5));
+  EXPECT_EQ(ls.used(), 34);
+  // A spawn reset still zeroes the highest written cell.
+  ls.clear_pe(0);
+  EXPECT_EQ(ls.load(0, 33).as_double(), 0.0);
+  EXPECT_EQ(ls.load(0, 20).as_int(), 0);
+  EXPECT_EQ(ls.load(1, 20).as_int(), 5) << "neighbour clobbered";
 }
 
 TEST(LaneStore, StacksAreIndependentPerPe) {
@@ -223,6 +251,203 @@ TEST(LaneMachine, SpawnFreeListAndReuseAcrossWordBoundaries) {
       config.initial_active = 2;
       config.reuse_halted_pes = reuse;
       expect_scalar_vector_identical(compiled, conv, config, 7);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Spawn resets and the written-address high-water mark. clear_pe zeroes
+// only the addresses below LaneStore::used(), so every path that writes
+// PE memory must raise it: a write a path failed to record would survive
+// into the next child spawned on that PE.
+
+constexpr std::int64_t kProbePes = 128;
+constexpr std::int64_t kProbeActive = 64;
+constexpr std::int64_t kProbeIndex = 4000;  // a[4000]: near local_mem_cells
+
+/// Every initial PE runs `prologue`; then odd PEs halt, and even ones
+/// idle a few steps and spawn one child each. A child returns its own
+/// a[4000] + 1000, so 1000 exactly when its spawn reset cleared the cell.
+/// With reuse_halted_pes the 32 children land on the halted odd PEs (the
+/// lowest free ids); without, on the never-run PEs 64..95. The prologue
+/// runs under one guard, so the lane engines execute it as a single lane
+/// run. `a` is the last static: only the path under test writes as high
+/// as a[4000], and a path that failed to raise used() leaves the mark
+/// below the cell.
+std::string spawn_probe(const std::string& prologue) {
+  return cat(R"(poly int j;
+poly int k;
+poly int a[4001];
+int main() {
+)", prologue, R"(
+  if (procid() % 2 == 1) {
+    return 5;
+  }
+  j = 0;
+  while (j < 4) { j = j + 1; }
+  spawn { return a[4000] + 1000; }
+  return 1;
+}
+)");
+}
+
+enum class HostWrite { None, Poke, FillLane };
+
+struct ProbeRun {
+  driver::Observed observed;
+  simd::SimdStats stats;
+  std::vector<std::int64_t> visits;
+  std::vector<Value> memory;  ///< every PE's every local cell, address-major
+};
+
+ProbeRun run_probe(const driver::Compiled& compiled,
+                   const codegen::SimdProgram& prog,
+                   const mimd::RunConfig& config, HostWrite host,
+                   std::int64_t addr) {
+  auto m = simd::make_machine(prog, kCost, config);
+  if (host == HostWrite::Poke)
+    for (std::int64_t p = 0; p < config.nprocs; ++p)
+      m->poke(p, addr, Value::of_int(7));
+  if (host == HostWrite::FillLane)
+    m->fill_lane(addr, std::vector<std::int64_t>(
+                           static_cast<std::size_t>(config.nprocs), 7));
+  m->run();
+  ProbeRun r;
+  r.observed = driver::observe_simd(*m, compiled, config);
+  r.stats = m->stats();
+  r.visits = m->state_visits();
+  r.memory.reserve(static_cast<std::size_t>(config.nprocs *
+                                            config.local_mem_cells));
+  for (std::int64_t a = 0; a < config.local_mem_cells; ++a)
+    for (std::int64_t p = 0; p < config.nprocs; ++p)
+      r.memory.push_back(m->peek(p, a));
+  return r;
+}
+
+TEST(LaneSpawn, ChildrenSeeZeroWhereverAnyWritePathReached) {
+  struct Scenario {
+    const char* name;
+    std::string prologue;
+    HostWrite host;
+  };
+  const Scenario scenarios[] = {
+      {"poke", "", HostWrite::Poke},
+      {"fill_lane", "", HostWrite::FillLane},
+      // Router stores reach every never-run PE and every initial PE.
+      {"route_store",
+       "a[4000][[procid() + 64]] = 7;\n"
+       "a[4000][[(procid() + 1) % 64]] = 7;",
+       HostWrite::None},
+      // Constant address: scalar StL (reference, fast/scalar), lane
+      // StoreLane (fast and codegen under a vector ISA), StLImm
+      // (codegen/scalar).
+      {"constant_store", "a[4000] = 7;", HostWrite::None},
+      // Computed address (a[4000] on odd PEs): scalar StL, or lane
+      // StDynLane.
+      {"dynamic_store", "k = 3999 + procid() % 2;\na[k] = 7;",
+       HostWrite::None},
+  };
+  const SimdIsa host_isa = resolve_simd_isa(SimdIsa::Auto);
+  for (const Scenario& sc : scenarios) {
+    auto compiled = driver::compile(spawn_probe(sc.prologue));
+    const auto* slot = compiled.layout.find("a");
+    ASSERT_NE(slot, nullptr);
+    for (const auto& [name, g] : compiled.layout.globals)
+      ASSERT_LE(g.addr + g.size, slot->addr + slot->size) << name;
+    const std::int64_t addr = slot->addr + kProbeIndex;
+    auto conv = test::convert(compiled.graph, kCost);
+    auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
+    for (bool reuse : {false, true}) {
+      mimd::RunConfig config;
+      config.nprocs = kProbePes;
+      config.initial_active = kProbeActive;
+      config.reuse_halted_pes = reuse;
+      ASSERT_LT(addr, config.local_mem_cells);
+      std::optional<ProbeRun> first;
+      for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
+                          mimd::SimdEngine::Codegen}) {
+        for (SimdIsa isa : {SimdIsa::Scalar, host_isa}) {
+          SCOPED_TRACE(cat(sc.name, reuse ? "/reuse/" : "/fresh/",
+                           simd::engine_name(engine), "/",
+                           simd_isa_name(isa)));
+          config.engine = engine;
+          config.simd_isa = isa;
+          ProbeRun r = run_probe(compiled, prog, config, sc.host, addr);
+          int children = 0;
+          for (std::int64_t p = 0; p < kProbePes; ++p) {
+            const std::size_t i = static_cast<std::size_t>(p);
+            if (!r.observed.ran[i]) continue;
+            const std::int64_t v = r.observed.results[i].as_int();
+            EXPECT_NE(v, 1007) << "child on pe " << p << " saw a stale cell";
+            if (v == 1000 || v == 1007) ++children;
+          }
+          EXPECT_EQ(children, kProbeActive / 2);
+          EXPECT_EQ(r.stats.spawns, kProbeActive / 2);
+          if (!first) {
+            first = std::move(r);
+            continue;
+          }
+          EXPECT_TRUE(r.observed == first->observed);
+          EXPECT_TRUE(r.stats == first->stats);
+          EXPECT_EQ(r.visits, first->visits);
+          EXPECT_TRUE(r.memory == first->memory);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The paper's 16K-PE machine at the default 4096 cells per PE: the lane
+// store maps zero pages, so resident memory grows with the cells a run
+// touches (a few per PE here), not with nprocs * local_mem_cells (~1.1 GB).
+
+#if defined(__SANITIZE_ADDRESS__)
+#define MSC_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MSC_TEST_ASAN 1
+#endif
+#endif
+
+/// This process's resident set in bytes, or -1 without /proc.
+std::int64_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return -1;
+  long long size = 0, resident = 0;
+  const int n = std::fscanf(f, "%lld %lld", &size, &resident);
+  std::fclose(f);
+  return n == 2 ? resident * sysconf(_SC_PAGESIZE) : -1;
+}
+
+TEST(LaneFootprint, PaperSizeRunsCostWhatTheyTouch) {
+#ifdef MSC_TEST_ASAN
+  GTEST_SKIP() << "ASan shadow pages count toward the resident set";
+#endif
+  if (resident_bytes() < 0) GTEST_SKIP() << "no /proc/self/statm";
+  constexpr std::int64_t kBudget = 64ll << 20;
+  for (const char* name : {"reduce", "workqueue"}) {
+    kernels::VerifiedParams params;
+    params.n = 16384;
+    const kernels::VerifiedCase c = kernels::make_case(name, params);
+    auto compiled = driver::compile(c.source);
+    auto conv = test::convert(compiled.graph, kCost);
+    auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
+    for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
+                        mimd::SimdEngine::Codegen}) {
+      SCOPED_TRACE(cat(name, "@16384/", simd::engine_name(engine)));
+      mimd::RunConfig config = c.config;
+      config.engine = engine;
+      ASSERT_EQ(config.local_mem_cells, 4096);
+      const std::int64_t before = resident_bytes();
+      auto m = simd::make_machine(prog, kCost, config);
+      driver::seed_machine(*m, compiled, config, c.input_seed);
+      m->run();
+      const std::int64_t growth = resident_bytes() - before;
+      EXPECT_LT(growth, kBudget) << "resident growth " << (growth >> 20)
+                                 << " MB";
+      EXPECT_EQ(kernels::check(c, driver::observe_simd(*m, compiled, config)),
+                "");
     }
   }
 }

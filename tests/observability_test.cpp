@@ -124,6 +124,35 @@ TEST(Metrics, GlobalRegistryCarriesToolchainMetrics) {
                 .as_int(), 1);
 }
 
+TEST(Metrics, PeCellsUsedIsTheSameOnEveryEngine) {
+  // simd.pe_cells_used records each run's PE-memory high water: one past
+  // the highest local address any write reached. It depends only on the
+  // program and its inputs, so all three engines record the same value.
+  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
+  telemetry::Histogram& h = reg.histogram(
+      "simd.pe_cells_used", telemetry::Histogram::pow2_bounds(13));
+  auto compiled = driver::compile(workload::kernel("listing1").source);
+  auto conv = test::convert(compiled.graph, kCost);
+  std::vector<std::int64_t> used;
+  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
+                      mimd::SimdEngine::Codegen}) {
+    mimd::RunConfig rc;
+    rc.nprocs = 64;
+    rc.engine = engine;
+    const std::int64_t count = h.count(), sum = h.sum();
+    driver::run_simd(compiled, conv, rc, 1, kCost, {});
+    EXPECT_EQ(h.count() - count, 1);
+    used.push_back(h.sum() - sum);
+  }
+  EXPECT_GT(used[0], 0);
+  EXPECT_LE(used[0], mimd::RunConfig{}.local_mem_cells);
+  EXPECT_EQ(used[1], used[0]);
+  EXPECT_EQ(used[2], used[0]);
+  json::Value doc = json::parse(reg.to_json());
+  EXPECT_GE(doc.at("histograms").at("simd.pe_cells_used").at("count").as_int(),
+            3);
+}
+
 // --------------------------------------------------------- labeled metrics
 
 TEST(LabeledMetrics, SeriesAreKeyedByTenantAndOp) {

@@ -19,7 +19,6 @@
 //   4  meta-state explosion (conversion exceeded --max-meta-states)
 //   5  machine fault while executing (--run)
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -47,6 +46,8 @@
 #include "msc/support/str.hpp"
 #include "msc/support/trace.hpp"
 #include "msc/workload/kernels.hpp"
+
+#include "int_arg.hpp"
 
 using namespace msc;
 
@@ -158,19 +159,10 @@ int usage() {
   return kUsage;
 }
 
-/// The value of integer flag `flag`: all of `text` must be a decimal
-/// integer in [lo, hi], else it is a usage error (exit 2).
+/// Integer flag value in [lo, hi], else a usage error (tools/int_arg.hpp).
 std::int64_t int_arg(const std::string& flag, const std::string& text,
                      std::int64_t lo, std::int64_t hi = INT64_MAX) {
-  std::int64_t v = 0;
-  const char* end = text.data() + text.size();
-  if (auto [p, ec] = std::from_chars(text.data(), end, v);
-      ec == std::errc{} && p == end && v >= lo && v <= hi)
-    return v;
-  std::fprintf(stderr, "mscc: %s expects an integer in [%lld, %lld], got '%s'\n",
-               flag.c_str(), static_cast<long long>(lo),
-               static_cast<long long>(hi), text.c_str());
-  std::exit(usage());
+  return tools::int_arg("mscc", usage, flag, text, lo, hi);
 }
 
 /// file:line:col: error: message, plus the offending source line with a

@@ -30,6 +30,8 @@
 #include "msc/support/json.hpp"
 #include "msc/support/str.hpp"
 
+#include "int_arg.hpp"
+
 using namespace msc;
 
 namespace {
@@ -203,8 +205,8 @@ int main(int argc, char** argv) {
   bool compress = false, adaptive = false, time_split = false, prune = false;
   bool no_subsume = false, reuse = false, profile = false, metrics = false;
   bool trace = false;
-  long long max_meta_states = -1, nprocs = -1, active = -2, seed = -1;
-  long long max_blocks = -1, quantum = -1;
+  std::int64_t max_meta_states = -1, nprocs = -1, active = -2, seed = -1;
+  std::int64_t max_blocks = -1, quantum = -1;
 
   auto next = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -212,6 +214,10 @@ int main(int argc, char** argv) {
       std::exit(2);
     }
     return argv[++i];
+  };
+  auto int_flag = [&](int& i, std::int64_t lo) {
+    const std::string flag = argv[i];
+    return tools::int_arg("mscli", usage, flag, next(i), lo);
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -229,12 +235,12 @@ int main(int argc, char** argv) {
     else if (arg == "--profile") profile = true;
     else if (arg == "--metrics") metrics = true;
     else if (arg == "--trace") trace = true;
-    else if (arg == "--max-meta-states") max_meta_states = std::atoll(next(i));
-    else if (arg == "--nprocs") nprocs = std::atoll(next(i));
-    else if (arg == "--active") active = std::atoll(next(i));
-    else if (arg == "--seed") seed = std::atoll(next(i));
-    else if (arg == "--max-blocks") max_blocks = std::atoll(next(i));
-    else if (arg == "--quantum") quantum = std::atoll(next(i));
+    else if (arg == "--max-meta-states") max_meta_states = int_flag(i, 1);
+    else if (arg == "--nprocs") nprocs = int_flag(i, 1);
+    else if (arg == "--active") active = int_flag(i, -1);
+    else if (arg == "--seed") seed = int_flag(i, 0);
+    else if (arg == "--max-blocks") max_blocks = int_flag(i, 1);
+    else if (arg == "--quantum") quantum = int_flag(i, 1);
     else if (arg == "--engine") engine = next(i);
     else if (arg == "--simd-isa") simd_isa = next(i);
     else if (arg == "--policy") policy = next(i);
