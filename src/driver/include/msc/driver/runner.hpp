@@ -37,27 +37,20 @@ struct Observed {
 /// program declares one) before running. Shared by both machines.
 std::int64_t seed_input(std::uint64_t seed, std::int64_t pe);
 
-/// Write seeds/initial values into a machine via the layout. M is
-/// MimdMachine or SimdMachine (lane-major stores: one bulk fill_lane per
-/// seeded variable) or InterpMachine (per-PE poke fallback). Both paths
-/// are byte-identical: fill_lane(addr, vals) == nprocs pokes of
-/// Value::of_int(vals[p]) (lane_store_test pins it).
+/// Write seeds/initial values into a machine via the layout: one bulk
+/// fill_lane of seed_input per seeded variable. M is MimdMachine,
+/// InterpMachine or SimdMachine; all three keep PE memory in the same
+/// lane-major ir::LaneStore, where fill_lane(addr, vals) is byte-identical
+/// to nprocs pokes of Value::of_int(vals[p]) (lane_store_test pins it).
 template <typename M>
 void seed_machine(M& machine, const Compiled& compiled,
                   const mimd::RunConfig& config, std::uint64_t seed) {
   const auto* slot = compiled.layout.find("x");
   if (!slot || slot->storage != frontend::Storage::PolyStatic) return;
-  if constexpr (requires(std::vector<std::int64_t> v) {
-                  machine.fill_lane(slot->addr, v);
-                }) {
-    std::vector<std::int64_t> vals(static_cast<std::size_t>(config.nprocs));
-    for (std::int64_t p = 0; p < config.nprocs; ++p)
-      vals[static_cast<std::size_t>(p)] = seed_input(seed, p);
-    machine.fill_lane(slot->addr, vals);
-  } else {
-    for (std::int64_t p = 0; p < config.nprocs; ++p)
-      machine.poke(p, slot->addr, Value::of_int(seed_input(seed, p)));
-  }
+  std::vector<std::int64_t> vals(static_cast<std::size_t>(config.nprocs));
+  for (std::int64_t p = 0; p < config.nprocs; ++p)
+    vals[static_cast<std::size_t>(p)] = seed_input(seed, p);
+  machine.fill_lane(slot->addr, vals);
 }
 
 /// Write a pre-rendered JSON document to `path` ("-" = stdout); `what`
@@ -87,9 +80,43 @@ void write_pass_timings(const telemetry::PipelineTrace& trace,
 void write_simd_trace(const simd::SimdMachine& machine,
                       const std::string& path);
 
-/// Collect observations from a SIMD machine the caller ran (manual step()
-/// loops, the co-scheduler): per-PE results/ran plus final globals, in
-/// the same form run_simd() returns.
+/// Collect observations from a finished machine M (MimdMachine,
+/// InterpMachine or SimdMachine; all share the peek/ever_ran interface):
+/// per-PE results/ran plus final globals, in the form run_oracle() and
+/// run_simd() return.
+template <typename M>
+Observed observe(const M& machine, const Compiled& compiled,
+                 const mimd::RunConfig& config) {
+  Observed obs;
+  obs.ran.resize(static_cast<std::size_t>(config.nprocs));
+  obs.results.resize(static_cast<std::size_t>(config.nprocs));
+  for (std::int64_t p = 0; p < config.nprocs; ++p) {
+    obs.ran[static_cast<std::size_t>(p)] = machine.ever_ran(p);
+    if (obs.ran[static_cast<std::size_t>(p)])
+      obs.results[static_cast<std::size_t>(p)] =
+          machine.peek(p, frontend::Layout::kResultAddr);
+  }
+  for (const auto& [name, slot] : compiled.layout.globals) {
+    if (slot.storage == frontend::Storage::MonoStatic) {
+      std::vector<Value> vals;
+      for (std::int64_t c = 0; c < slot.size; ++c)
+        vals.push_back(machine.peek_mono(slot.addr + c));
+      obs.mono_globals[name] = std::move(vals);
+    } else {
+      std::vector<Value> vals;
+      for (std::int64_t p = 0; p < config.nprocs; ++p) {
+        if (!obs.ran[static_cast<std::size_t>(p)]) continue;
+        for (std::int64_t c = 0; c < slot.size; ++c)
+          vals.push_back(machine.peek(p, slot.addr + c));
+      }
+      obs.poly_globals[name] = std::move(vals);
+    }
+  }
+  return obs;
+}
+
+/// observe() for a SIMD machine the caller ran (manual step() loops, the
+/// co-scheduler).
 Observed observe_simd(const simd::SimdMachine& machine,
                       const Compiled& compiled,
                       const mimd::RunConfig& config);

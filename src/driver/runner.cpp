@@ -10,41 +10,6 @@
 
 namespace msc::driver {
 
-namespace {
-
-/// Observation collection shared by both machines (same peek interface).
-template <typename M>
-Observed observe(const M& machine, const Compiled& compiled,
-                 const mimd::RunConfig& config,
-                 const std::vector<bool>& ran) {
-  Observed obs;
-  obs.ran = ran;
-  obs.results.resize(static_cast<std::size_t>(config.nprocs));
-  for (std::int64_t p = 0; p < config.nprocs; ++p)
-    if (ran[static_cast<std::size_t>(p)])
-      obs.results[static_cast<std::size_t>(p)] =
-          machine.peek(p, frontend::Layout::kResultAddr);
-  for (const auto& [name, slot] : compiled.layout.globals) {
-    if (slot.storage == frontend::Storage::MonoStatic) {
-      std::vector<Value> vals;
-      for (std::int64_t c = 0; c < slot.size; ++c)
-        vals.push_back(machine.peek_mono(slot.addr + c));
-      obs.mono_globals[name] = std::move(vals);
-    } else {
-      std::vector<Value> vals;
-      for (std::int64_t p = 0; p < config.nprocs; ++p) {
-        if (!ran[static_cast<std::size_t>(p)]) continue;
-        for (std::int64_t c = 0; c < slot.size; ++c)
-          vals.push_back(machine.peek(p, slot.addr + c));
-      }
-      obs.poly_globals[name] = std::move(vals);
-    }
-  }
-  return obs;
-}
-
-}  // namespace
-
 bool Observed::operator==(const Observed& o) const {
   if (ran != o.ran) return false;
   for (std::size_t p = 0; p < ran.size(); ++p)
@@ -121,10 +86,7 @@ std::int64_t seed_input(std::uint64_t seed, std::int64_t pe) {
 Observed observe_simd(const simd::SimdMachine& machine,
                       const Compiled& compiled,
                       const mimd::RunConfig& config) {
-  std::vector<bool> ran(static_cast<std::size_t>(config.nprocs));
-  for (std::int64_t p = 0; p < config.nprocs; ++p)
-    ran[static_cast<std::size_t>(p)] = machine.ever_ran(p);
-  return observe(machine, compiled, config, ran);
+  return observe(machine, compiled, config);
 }
 
 Observed run_oracle(const Compiled& compiled, const mimd::RunConfig& config,
@@ -134,10 +96,7 @@ Observed run_oracle(const Compiled& compiled, const mimd::RunConfig& config,
   seed_machine(machine, compiled, config, seed);
   machine.run();
   if (stats_out) *stats_out = machine.stats();
-  std::vector<bool> ran(static_cast<std::size_t>(config.nprocs));
-  for (std::int64_t p = 0; p < config.nprocs; ++p)
-    ran[static_cast<std::size_t>(p)] = machine.ever_ran(p);
-  return observe(machine, compiled, config, ran);
+  return observe(machine, compiled, config);
 }
 
 Observed run_simd(const Compiled& compiled, const core::ConvertResult& conversion,
@@ -152,10 +111,7 @@ Observed run_simd(const Compiled& compiled, const core::ConvertResult& conversio
   machine->run();
   if (stats_out) *stats_out = machine->stats();
   if (visits_out) *visits_out = machine->state_visits();
-  std::vector<bool> ran(static_cast<std::size_t>(config.nprocs));
-  for (std::int64_t p = 0; p < config.nprocs; ++p)
-    ran[static_cast<std::size_t>(p)] = machine->ever_ran(p);
-  return observe(*machine, compiled, config, ran);
+  return observe(*machine, compiled, config);
 }
 
 }  // namespace msc::driver

@@ -7,7 +7,7 @@
 #include "msc/ir/cost.hpp"
 #include "msc/ir/exec.hpp"
 #include "msc/ir/graph.hpp"
-#include "msc/mimd/machine.hpp"  // RunConfig, Timeout
+#include "msc/mimd/machine.hpp"  // MachineMemory, RunConfig, Timeout
 
 namespace msc::interp {
 
@@ -73,41 +73,29 @@ struct InterpStats {
 /// meta-state conversion is measured against. Functionally equivalent to
 /// the MIMD oracle (same instruction semantics, same barrier/spawn rules);
 /// the cost model charges the three §1.1 overheads explicitly.
-class InterpMachine : public ir::MemoryBus {
+class InterpMachine : public mimd::MachineMemory {
  public:
   InterpMachine(const ir::StateGraph& graph, const ir::CostModel& cost,
                 const mimd::RunConfig& config, Dispatch dispatch = Dispatch::GlobalOr);
-
-  void poke(std::int64_t proc, std::int64_t addr, Value v);
-  Value peek(std::int64_t proc, std::int64_t addr) const;
-  void poke_mono(std::int64_t addr, Value v);
-  Value peek_mono(std::int64_t addr) const;
 
   void run();
 
   const InterpStats& stats() const { return stats_; }
   bool ever_ran(std::int64_t proc) const { return pes_[proc].ever_ran; }
 
-  // MemoryBus:
-  Value mono_load(std::int64_t addr) override;
-  void mono_store(std::int64_t addr, Value v) override;
-  Value route_load(std::int64_t proc, std::int64_t addr) override;
-  void route_store(std::int64_t proc, std::int64_t addr, Value v) override;
-
  private:
+  /// Per-PE control state only: local memories and operand stacks live in
+  /// the lane-major store (MachineMemory::store_).
   struct Pe {
     std::int64_t pc = -1;  ///< word index; -1 = not in any process
     bool waiting = false;
     bool ever_ran = false;
-    ir::SoaLocal local;
-    std::vector<Value> stack;
   };
 
   bool alive(const Pe& pe) const { return pe.pc >= 0; }
   void step();
   void exec_one(std::int64_t pid, std::int64_t op, std::int64_t a,
                 std::int64_t b, double f);
-  void check_local(std::int64_t proc, std::int64_t addr) const;
 
   const ir::StateGraph& graph_;
   ir::CostModel cost_;
@@ -115,7 +103,6 @@ class InterpMachine : public ir::MemoryBus {
   Dispatch dispatch_;
   InterpImage image_;
   std::vector<Pe> pes_;
-  std::vector<Value> mono_;
   InterpStats stats_;
 };
 

@@ -80,58 +80,21 @@ InterpImage assemble(const ir::StateGraph& graph) {
 
 InterpMachine::InterpMachine(const ir::StateGraph& graph, const ir::CostModel& cost,
                              const mimd::RunConfig& config, Dispatch dispatch)
-    : graph_(graph), cost_(cost), config_(config), dispatch_(dispatch),
+    : MachineMemory(config),
+      graph_(graph),
+      cost_(cost),
+      config_(config),
+      dispatch_(dispatch),
       image_(assemble(graph)) {
-  if (config_.nprocs <= 0) throw MachineFault("nprocs must be positive");
   pes_.resize(static_cast<std::size_t>(config_.nprocs));
   for (std::int64_t i = 0; i < config_.nprocs; ++i) {
     Pe& pe = pes_[static_cast<std::size_t>(i)];
-    pe.local.assign(config_.local_mem_cells);
     if (i < config_.active()) {
       pe.pc = image_.entry;
       pe.ever_ran = true;
     }
   }
-  mono_.assign(static_cast<std::size_t>(config_.mono_mem_cells), Value{});
   stats_.program_cells_per_pe = image_.cells_per_pe();
-}
-
-void InterpMachine::check_local(std::int64_t proc, std::int64_t addr) const {
-  if (proc < 0 || proc >= config_.nprocs)
-    throw MachineFault(cat("PE index out of range: ", proc));
-  if (addr < 0 || addr >= config_.local_mem_cells)
-    throw MachineFault(cat("local address out of range: ", addr));
-}
-
-void InterpMachine::poke(std::int64_t proc, std::int64_t addr, Value v) {
-  check_local(proc, addr);
-  pes_[static_cast<std::size_t>(proc)].local.set(addr, v);
-}
-
-Value InterpMachine::peek(std::int64_t proc, std::int64_t addr) const {
-  check_local(proc, addr);
-  return pes_[static_cast<std::size_t>(proc)].local.get(addr);
-}
-
-void InterpMachine::poke_mono(std::int64_t addr, Value v) {
-  if (addr < 0 || addr >= config_.mono_mem_cells)
-    throw MachineFault(cat("mono address out of range: ", addr));
-  mono_[static_cast<std::size_t>(addr)] = v;
-}
-
-Value InterpMachine::peek_mono(std::int64_t addr) const {
-  if (addr < 0 || addr >= config_.mono_mem_cells)
-    throw MachineFault(cat("mono address out of range: ", addr));
-  return mono_[static_cast<std::size_t>(addr)];
-}
-
-Value InterpMachine::mono_load(std::int64_t addr) { return peek_mono(addr); }
-void InterpMachine::mono_store(std::int64_t addr, Value v) { poke_mono(addr, v); }
-Value InterpMachine::route_load(std::int64_t proc, std::int64_t addr) {
-  return peek(proc, addr);
-}
-void InterpMachine::route_store(std::int64_t proc, std::int64_t addr, Value v) {
-  poke(proc, addr, v);
 }
 
 void InterpMachine::exec_one(std::int64_t pid, std::int64_t op, std::int64_t a,
@@ -141,7 +104,8 @@ void InterpMachine::exec_one(std::int64_t pid, std::int64_t op, std::int64_t a,
     ir::Instr in;
     in.op = static_cast<Opcode>(op);
     in.imm = in.op == Opcode::PushF ? Value::of_float(f) : Value::of_int(a);
-    ir::PeContext ctx{pe.local.view(), &pe.stack, pid, config_.nprocs};
+    ir::PeContext ctx{store_.pe_view(pid), &store_.stack(pid), pid,
+                      config_.nprocs};
     ir::exec_instr(in, ctx, *this);
     pe.pc += 3;
     return;
@@ -151,7 +115,7 @@ void InterpMachine::exec_one(std::int64_t pid, std::int64_t op, std::int64_t a,
       pe.pc = a;
       return;
     case InterpImage::kJumpF: {
-      Value cond = ir::stack_pop(pe.stack);
+      Value cond = ir::stack_pop(store_.stack(pid));
       pe.pc = cond.truthy() ? a : b;
       return;
     }
@@ -173,9 +137,8 @@ void InterpMachine::exec_one(std::int64_t pid, std::int64_t op, std::int64_t a,
       }
       if (child < 0)
         throw MachineFault("spawn failed: no free processing element");
+      store_.clear_pe(child);
       Pe& ch = pes_[static_cast<std::size_t>(child)];
-      ch.local.assign(config_.local_mem_cells);
-      ch.stack.clear();
       ch.pc = a;
       ch.waiting = false;
       ch.ever_ran = true;

@@ -81,14 +81,6 @@ Value arith(Opcode op, const Value& a, const Value& b) {
 
 }  // namespace
 
-void SoaLocal::assign(std::int64_t cells) {
-  const auto n = static_cast<std::size_t>(cells);
-  tag_.assign(n, 0);
-  ival_.assign(n, 0);
-  fval_.assign(n, 0.0);
-  cells_ = cells;
-}
-
 Value eval_binary(Opcode op, const Value& a, const Value& b) {
   if (op == Opcode::LAnd) return Value::of_int(a.truthy() && b.truthy());
   if (op == Opcode::LOr) return Value::of_int(a.truthy() || b.truthy());

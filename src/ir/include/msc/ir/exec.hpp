@@ -25,15 +25,14 @@ class MemoryBus {
 };
 
 /// Structure-of-arrays window onto one PE's local memory. The backing
-/// store keeps kind tags, integer payloads and float payloads in three
-/// separate arrays so the SIMD engines can lay all PEs' copies of a
-/// variable out as one contiguous lane; `stride` is the element distance
-/// between consecutive addresses (1 for the per-PE machines, the padded
-/// lane width for the lane-major store). A default view has zero cells,
-/// so every access faults like an empty local memory. `used`, when set,
-/// is the store's written-address high-water mark: put() raises it to
-/// one past `addr`, so the lane-major store knows which addresses a spawn
-/// reset must clear. The per-PE machines pass nullptr.
+/// store (ir::LaneStore, lane_store.hpp) keeps kind tags, integer payloads
+/// and float payloads in three separate arrays, each laying all PEs'
+/// copies of a variable out as one contiguous lane; `stride` is the
+/// element distance between consecutive addresses (the padded lane
+/// width). A default view has zero cells, so every access faults like an
+/// empty local memory. `used`, when set, is the store's written-address
+/// high-water mark: put() raises it to one past `addr`, so the store knows
+/// which addresses a spawn reset must clear. Read-only views pass nullptr.
 struct LocalView {
   std::uint8_t* tag = nullptr;
   std::int64_t* ival = nullptr;
@@ -56,31 +55,6 @@ struct LocalView {
     fval[at] = v.f;
     if (used != nullptr && addr >= *used) *used = addr + 1;
   }
-};
-
-/// Owning stride-1 SoA local memory for the per-PE machines (MIMD oracle,
-/// interpreter); the SIMD engines use the shared lane-major store instead.
-class SoaLocal {
- public:
-  /// Reset to `cells` zeroed cells (Value{} == integer 0).
-  void assign(std::int64_t cells);
-  Value get(std::int64_t addr) const { return view_const().get(addr); }
-  void set(std::int64_t addr, const Value& v) { view().put(addr, v); }
-  std::int64_t cells() const { return cells_; }
-  LocalView view() {
-    return {tag_.data(), ival_.data(), fval_.data(), 1, cells_, nullptr};
-  }
-
- private:
-  LocalView view_const() const {
-    return {const_cast<std::uint8_t*>(tag_.data()),
-            const_cast<std::int64_t*>(ival_.data()),
-            const_cast<double*>(fval_.data()), 1, cells_, nullptr};
-  }
-  std::vector<std::uint8_t> tag_;
-  std::vector<std::int64_t> ival_;
-  std::vector<double> fval_;
-  std::int64_t cells_ = 0;
 };
 
 /// One PE's mutable execution state as seen by exec_instr.

@@ -8,6 +8,7 @@
 #include "msc/ir/cost.hpp"
 #include "msc/ir/exec.hpp"
 #include "msc/ir/graph.hpp"
+#include "msc/ir/lane_store.hpp"
 #include "msc/support/simd_isa.hpp"
 
 namespace msc::mimd {
@@ -53,6 +54,10 @@ struct RunConfig {
   std::int64_t active() const { return initial_active < 0 ? nprocs : initial_active; }
 };
 
+/// config.nprocs, after checking it and initial_active: MachineFault on a
+/// bad config. Every machine calls it before allocating its PE store.
+std::int64_t validated_nprocs(const RunConfig& config);
+
 /// Thrown when `max_blocks` is exhausted.
 class Timeout : public ir::MachineFault {
  public:
@@ -69,6 +74,39 @@ struct MimdStats {
   std::int64_t spawns = 0;
 };
 
+/// The memories of a per-PE machine (the MIMD oracle, the §1.1
+/// interpreter): every PE's local memory and operand stack in one
+/// lane-major store, plus the mono memory, with the bounds-checked host
+/// accessors and the MemoryBus its instructions route through.
+class MachineMemory : public ir::MemoryBus {
+ public:
+  // Pre/post-run raw memory access (the driver layers names on top).
+  void poke(std::int64_t proc, std::int64_t addr, Value v);
+  Value peek(std::int64_t proc, std::int64_t addr) const;
+  /// Seed one local cell across all PEs from a per-PE integer vector
+  /// (vals.size() == nprocs): one memcpy into the int lane, byte-identical
+  /// to nprocs scalar pokes of Value::of_int.
+  void fill_lane(std::int64_t addr, const std::vector<std::int64_t>& vals);
+  void poke_mono(std::int64_t addr, Value v);
+  Value peek_mono(std::int64_t addr) const;
+
+  // MemoryBus:
+  Value mono_load(std::int64_t addr) override;
+  void mono_store(std::int64_t addr, Value v) override;
+  Value route_load(std::int64_t proc, std::int64_t addr) override;
+  void route_store(std::int64_t proc, std::int64_t addr, Value v) override;
+
+ protected:
+  /// Validates `config` (validated_nprocs) before allocating anything.
+  explicit MachineMemory(const RunConfig& config);
+
+  ir::LaneStore store_;
+  std::vector<Value> mono_;
+
+ private:
+  void check_local(std::int64_t proc, std::int64_t addr) const;
+};
+
 /// Asynchronous MIMD multiprocessor — the paper's execution model being
 /// emulated, and this repo's semantic oracle. Each PE runs the MIMD state
 /// graph independently with its own clock; PEs are scheduled in
@@ -76,22 +114,13 @@ struct MimdStats {
 /// block a PE until every live PE sits in some barrier state (§2.6);
 /// the MIMD machine pays `cost.mimd_barrier` per release, modelling the
 /// runtime synchronization the paper says MSC eliminates.
-class MimdMachine : public ir::MemoryBus {
+class MimdMachine : public MachineMemory {
  public:
   /// Cost knob for the runtime barrier protocol (MIMD machines only).
   static constexpr std::int64_t kBarrierSyncCost = 24;
 
   MimdMachine(const ir::StateGraph& graph, const ir::CostModel& cost,
               const RunConfig& config);
-
-  // Pre/post-run raw memory access (the driver layers names on top).
-  void poke(std::int64_t proc, std::int64_t addr, Value v);
-  Value peek(std::int64_t proc, std::int64_t addr) const;
-  /// Seed one local cell across all PEs from a per-PE integer vector
-  /// (vals.size() == nprocs); same observable effect as nprocs pokes.
-  void fill_lane(std::int64_t addr, const std::vector<std::int64_t>& vals);
-  void poke_mono(std::int64_t addr, Value v);
-  Value peek_mono(std::int64_t addr) const;
 
   /// Run to completion (all PEs halted or back in the free pool).
   void run();
@@ -102,34 +131,26 @@ class MimdMachine : public ir::MemoryBus {
   bool ever_ran(std::int64_t proc) const { return pes_[proc].ever_ran; }
   std::int64_t finish_clock(std::int64_t proc) const { return pes_[proc].clock; }
 
-  // MemoryBus:
-  Value mono_load(std::int64_t addr) override;
-  void mono_store(std::int64_t addr, Value v) override;
-  Value route_load(std::int64_t proc, std::int64_t addr) override;
-  void route_store(std::int64_t proc, std::int64_t addr, Value v) override;
-
  private:
   enum class Status : std::uint8_t { Free, Running, Waiting, Halted };
 
+  /// Per-PE control state only: local memories and operand stacks live in
+  /// the lane-major store (MachineMemory::store_).
   struct Pe {
     ir::StateId pc = ir::kNoState;
     std::int64_t clock = 0;
     Status status = Status::Free;
     bool ever_ran = false;
-    ir::SoaLocal local;
-    std::vector<Value> stack;
   };
 
   void exec_block(std::int64_t pid);
   void maybe_release_barrier();
   std::int64_t pick_next() const;  ///< PE with min (clock, id), or -1
-  void check_local(std::int64_t proc, std::int64_t addr) const;
 
   const ir::StateGraph& graph_;
   ir::CostModel cost_;
   RunConfig config_;
   std::vector<Pe> pes_;
-  std::vector<Value> mono_;
   MimdStats stats_;
 };
 

@@ -11,72 +11,79 @@ using ir::kNoState;
 using ir::MachineFault;
 using ir::StateId;
 
+std::int64_t validated_nprocs(const RunConfig& config) {
+  if (config.nprocs <= 0) throw MachineFault("nprocs must be positive");
+  if (config.active() > config.nprocs)
+    throw MachineFault("initial_active exceeds nprocs");
+  return config.nprocs;
+}
+
+MachineMemory::MachineMemory(const RunConfig& config)
+    : store_(validated_nprocs(config), config.local_mem_cells),
+      mono_(static_cast<std::size_t>(config.mono_mem_cells)) {}
+
+void MachineMemory::check_local(std::int64_t proc, std::int64_t addr) const {
+  if (proc < 0 || proc >= store_.nprocs())
+    throw MachineFault(cat("PE index out of range: ", proc));
+  if (addr < 0 || addr >= store_.cells())
+    throw MachineFault(cat("local address out of range: ", addr));
+}
+
+void MachineMemory::poke(std::int64_t proc, std::int64_t addr, Value v) {
+  check_local(proc, addr);
+  store_.store(proc, addr, v);
+}
+
+Value MachineMemory::peek(std::int64_t proc, std::int64_t addr) const {
+  check_local(proc, addr);
+  return store_.load(proc, addr);
+}
+
+void MachineMemory::fill_lane(std::int64_t addr,
+                              const std::vector<std::int64_t>& vals) {
+  check_local(0, addr);
+  store_.fill_int_lane(addr, vals.data(), store_.nprocs());
+}
+
+void MachineMemory::poke_mono(std::int64_t addr, Value v) {
+  if (addr < 0 || addr >= static_cast<std::int64_t>(mono_.size()))
+    throw MachineFault(cat("mono address out of range: ", addr));
+  mono_[static_cast<std::size_t>(addr)] = v;
+}
+
+Value MachineMemory::peek_mono(std::int64_t addr) const {
+  if (addr < 0 || addr >= static_cast<std::int64_t>(mono_.size()))
+    throw MachineFault(cat("mono address out of range: ", addr));
+  return mono_[static_cast<std::size_t>(addr)];
+}
+
+Value MachineMemory::mono_load(std::int64_t addr) { return peek_mono(addr); }
+
+void MachineMemory::mono_store(std::int64_t addr, Value v) {
+  poke_mono(addr, v);
+}
+
+Value MachineMemory::route_load(std::int64_t proc, std::int64_t addr) {
+  return peek(proc, addr);
+}
+
+void MachineMemory::route_store(std::int64_t proc, std::int64_t addr,
+                                Value v) {
+  poke(proc, addr, v);
+}
+
 MimdMachine::MimdMachine(const ir::StateGraph& graph, const ir::CostModel& cost,
                          const RunConfig& config)
-    : graph_(graph), cost_(cost), config_(config) {
-  if (config_.nprocs <= 0) throw MachineFault("nprocs must be positive");
-  if (config_.active() > config_.nprocs)
-    throw MachineFault("initial_active exceeds nprocs");
+    : MachineMemory(config), graph_(graph), cost_(cost), config_(config) {
   pes_.resize(static_cast<std::size_t>(config_.nprocs));
   for (std::int64_t i = 0; i < config_.nprocs; ++i) {
     Pe& pe = pes_[static_cast<std::size_t>(i)];
-    pe.local.assign(config_.local_mem_cells);
     if (i < config_.active()) {
       pe.pc = graph_.start;
       pe.status = Status::Running;
       pe.ever_ran = true;
     }
   }
-  mono_.assign(static_cast<std::size_t>(config_.mono_mem_cells), Value{});
-}
-
-void MimdMachine::check_local(std::int64_t proc, std::int64_t addr) const {
-  if (proc < 0 || proc >= config_.nprocs)
-    throw MachineFault(cat("PE index out of range: ", proc));
-  if (addr < 0 || addr >= config_.local_mem_cells)
-    throw MachineFault(cat("local address out of range: ", addr));
-}
-
-void MimdMachine::poke(std::int64_t proc, std::int64_t addr, Value v) {
-  check_local(proc, addr);
-  pes_[static_cast<std::size_t>(proc)].local.set(addr, v);
-}
-
-Value MimdMachine::peek(std::int64_t proc, std::int64_t addr) const {
-  check_local(proc, addr);
-  return pes_[static_cast<std::size_t>(proc)].local.get(addr);
-}
-
-void MimdMachine::fill_lane(std::int64_t addr,
-                            const std::vector<std::int64_t>& vals) {
-  check_local(0, addr);
-  for (std::int64_t p = 0; p < config_.nprocs; ++p)
-    pes_[static_cast<std::size_t>(p)].local.set(
-        addr, Value::of_int(vals[static_cast<std::size_t>(p)]));
-}
-
-void MimdMachine::poke_mono(std::int64_t addr, Value v) {
-  if (addr < 0 || addr >= config_.mono_mem_cells)
-    throw MachineFault(cat("mono address out of range: ", addr));
-  mono_[static_cast<std::size_t>(addr)] = v;
-}
-
-Value MimdMachine::peek_mono(std::int64_t addr) const {
-  if (addr < 0 || addr >= config_.mono_mem_cells)
-    throw MachineFault(cat("mono address out of range: ", addr));
-  return mono_[static_cast<std::size_t>(addr)];
-}
-
-Value MimdMachine::mono_load(std::int64_t addr) { return peek_mono(addr); }
-
-void MimdMachine::mono_store(std::int64_t addr, Value v) { poke_mono(addr, v); }
-
-Value MimdMachine::route_load(std::int64_t proc, std::int64_t addr) {
-  return peek(proc, addr);
-}
-
-void MimdMachine::route_store(std::int64_t proc, std::int64_t addr, Value v) {
-  poke(proc, addr, v);
 }
 
 std::int64_t MimdMachine::pick_next() const {
@@ -100,7 +107,8 @@ void MimdMachine::exec_block(std::int64_t pid) {
     return;
   }
 
-  ir::PeContext ctx{pe.local.view(), &pe.stack, pid, config_.nprocs};
+  ir::PeContext ctx{store_.pe_view(pid), &store_.stack(pid), pid,
+                    config_.nprocs};
   for (const ir::Instr& in : b.body) ir::exec_instr(in, ctx, *this);
   pe.clock += cost_.block_cost(b);
   stats_.busy_cycles += cost_.block_cost(b);
@@ -119,7 +127,7 @@ void MimdMachine::exec_block(std::int64_t pid) {
       pe.pc = b.target;
       return;
     case ExitKind::Branch: {
-      Value cond = ir::stack_pop(pe.stack);
+      Value cond = ir::stack_pop(store_.stack(pid));
       pe.pc = cond.truthy() ? b.target : b.alt;
       return;
     }
@@ -134,9 +142,8 @@ void MimdMachine::exec_block(std::int64_t pid) {
       if (child < 0)
         throw MachineFault("spawn failed: no free processing element "
                            "(§3.2.5 assumes processes ≤ processors)");
+      store_.clear_pe(child);
       Pe& ch = pes_[static_cast<std::size_t>(child)];
-      ch.local.assign(config_.local_mem_cells);
-      ch.stack.clear();
       ch.pc = b.target;
       ch.clock = pe.clock;
       ch.status = Status::Running;

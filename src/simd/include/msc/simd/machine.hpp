@@ -222,15 +222,11 @@ class SimdMachine : public ir::MemoryBus {
   DynBitset aggregate_pc() const;
   void check_local(std::int64_t proc, std::int64_t addr) const;
 
-  /// Validate nprocs/initial_active before any allocation (MachineFault on
-  /// bad configs, matching the historical construction order).
-  static std::int64_t validated_nprocs(const mimd::RunConfig& config);
-
   const codegen::SimdProgram& prog_;
   ir::CostModel cost_;
   mimd::RunConfig config_;
   /// Lane-major SoA local memories + per-PE operand stacks (all engines).
-  LaneStore lanes_;
+  ir::LaneStore lanes_;
   SimdIsa isa_ = SimdIsa::Scalar;
   std::vector<Pe> pes_;
   std::vector<Value> mono_;

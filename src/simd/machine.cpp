@@ -20,19 +20,12 @@ using core::MetaId;
 using ir::kNoState;
 using ir::MachineFault;
 
-std::int64_t SimdMachine::validated_nprocs(const mimd::RunConfig& config) {
-  if (config.nprocs <= 0) throw MachineFault("nprocs must be positive");
-  if (config.active() > config.nprocs)
-    throw MachineFault("initial_active exceeds nprocs");
-  return config.nprocs;
-}
-
 SimdMachine::SimdMachine(const codegen::SimdProgram& program,
                          const ir::CostModel& cost, const mimd::RunConfig& config)
     : prog_(program),
       cost_(cost),
       config_(config),
-      lanes_(validated_nprocs(config), config.local_mem_cells) {
+      lanes_(mimd::validated_nprocs(config), config.local_mem_cells) {
   // Resolve the host execution backend up front so an unavailable explicit
   // request faults at construction, like any other bad RunConfig.
   try {

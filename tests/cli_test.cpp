@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -35,6 +36,29 @@ CliResult run_binary(const std::string& binary, const std::string& args) {
 
 CliResult run_cli(const std::string& args) {
   return run_binary(MSCC_BINARY, args);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size()))
+    ++n;
+  return n;
+}
+
+/// The integer after `key` in `text` (e.g. `"simd.runs": ` or `cycles=`),
+/// or -1 when `key` is absent.
+long long int_after(const std::string& text, const std::string& key) {
+  const auto at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
 }
 
 }  // namespace
@@ -430,6 +454,60 @@ TEST(Cli, MetricsWritesGlobalRegistry) {
        {"\"schema\": 1", "\"counters\"", "\"histograms\"", "\"convert.runs\"",
         "\"simd.runs\"", "\"pass.runs\"", "\"simd.utilization_pct\""})
     EXPECT_NE(json.find(key), std::string::npos) << key << "\n" << json;
+}
+
+TEST(Cli, MetricsCountOneSimdRunPerInvocation) {
+  // --run builds one SIMD machine whichever observers are attached, so the
+  // registry holds one run whose cycle counter is the printed cycles.
+  const std::string dir = MSCC_TMPDIR;
+  const std::string metrics = dir + "/cli_one_run_metrics.json";
+  for (const std::string& observer :
+       {std::string(""), std::string("--trace"),
+        "--trace-simd " + dir + "/cli_one_run_trace.json",
+        "--profile-simd " + dir + "/cli_one_run_profile.json"}) {
+    SCOPED_TRACE(observer);
+    std::remove(metrics.c_str());
+    auto r = run_cli("--kernel listing1 --run --nprocs 16 " + observer +
+                     " --metrics " + metrics);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("match : yes"), std::string::npos) << r.output;
+    const long long cycles = int_after(r.output, " cycles=");
+    ASSERT_GT(cycles, 0) << r.output;
+    const std::string json = read_file(metrics);
+    EXPECT_EQ(int_after(json, "\"simd.runs\": "), 1) << json;
+    EXPECT_EQ(int_after(json, "\"simd.control_cycles\": "), cycles) << json;
+  }
+}
+
+TEST(Cli, TraceChromeSpansEachRunLayerOnce) {
+  const std::string path = std::string(MSCC_TMPDIR) + "/cli_chrome_layers.json";
+  auto r = run_cli("--kernel listing1 --run --nprocs 16 --trace-simd /dev/null "
+                   "--profile-simd /dev/null --trace-chrome " + path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string json = read_file(path);
+  for (const char* span : {"mimd.oracle", "simd.construct", "simd.run"})
+    EXPECT_EQ(count_of(json, std::string("\"name\": \"") + span +
+                                 "\", \"cat\": \"run\", \"ph\": \"X\", \"pid\": 1"),
+              1u)
+        << span << "\n" << json;
+}
+
+TEST(Cli, MalformedKernelSpecIsOneLineUsageError) {
+  // Unknown names and bad sizes, for --kernel and --coschedule alike: exit
+  // 2 with one diagnostic line (unknown --kernel names used to abort).
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--kernel nosuch", "unknown kernel 'nosuch'"},
+      {"--kernel ''", "unknown kernel ''"},
+      {"--kernel reduce@0", "kernel n must be >= 1, got 0"},
+      {"--coschedule nosuch@8", "unknown verified kernel 'nosuch'"},
+      {"--coschedule reduce@0", "kernel n must be >= 1, got 0"},
+  };
+  for (const auto& [args, message] : cases) {
+    SCOPED_TRACE(args);
+    auto r = run_cli(args + " --run");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_EQ(r.output, "mscc: " + message + "\n");
+  }
 }
 
 TEST(Cli, FlagEqualsValueFormAccepted) {

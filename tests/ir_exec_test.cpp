@@ -2,6 +2,7 @@
 
 #include "msc/ir/cost.hpp"
 #include "msc/ir/exec.hpp"
+#include "msc/ir/lane_store.hpp"
 
 using namespace msc;
 using namespace msc::ir;
@@ -26,14 +27,10 @@ class TestBus : public MemoryBus {
 
 class ExecTest : public testing::Test {
  protected:
-  SoaLocal local_mem = [] {
-    SoaLocal m;
-    m.assign(16);
-    return m;
-  }();
-  std::vector<Value> stack;
+  LaneStore local_mem{1, 16};  ///< one PE's 16 cells and its stack
+  std::vector<Value>& stack = local_mem.stack(0);
   TestBus bus;
-  PeContext pe{local_mem.view(), &stack, 2, 4};
+  PeContext pe{local_mem.pe_view(0), &stack, 2, 4};
 
   void run(std::initializer_list<Instr> instrs) {
     for (const Instr& in : instrs) exec_instr(in, pe, bus);
@@ -111,7 +108,7 @@ TEST_F(ExecTest, Casts) {
 
 TEST_F(ExecTest, LocalLoadStore) {
   run({Instr::push_i(42), Instr::push_i(5), Instr::of(Opcode::StL)});
-  EXPECT_EQ(local_mem.get(5), Value::of_int(42));
+  EXPECT_EQ(local_mem.load(0, 5), Value::of_int(42));
   run({Instr::push_i(5), Instr::of(Opcode::LdL)});
   EXPECT_EQ(top(), Value::of_int(42));
 }

@@ -1,4 +1,4 @@
-// Unit tests for the lane-major PE state store (simd/lanes.hpp) at the
+// Unit tests for the lane-major PE state store (ir/lane_store.hpp) at the
 // PE counts where the 64-PE word geometry has edges — 1, 63, 64, 65,
 // 127, 1000 — plus the seeded-input regression that pins fill_int_lane
 // byte-identical to the per-PE poke path it replaced. Machine-level
@@ -6,18 +6,25 @@
 // reuse_halted_pes on the lane store) run the real engines at the same
 // PE counts and compare scalar vs host-vector execution. The last two
 // groups pin the zero-page store: spawn resets clear every address any
-// write path reached, and a 16K-PE machine costs what it touches.
+// write path reached, and a 16K-PE machine costs what it touches. The MIMD
+// oracle and the interpreter share the store, so both groups cover them
+// too, and their stats are pinned against goldens.
 #include <gtest/gtest.h>
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
+#include "msc/interp/machine.hpp"
 #include "msc/kernels/verified.hpp"
-#include "msc/simd/lanes.hpp"
+#include "msc/ir/lane_store.hpp"
 #include "msc/simd/machine.hpp"
 #include "msc/support/str.hpp"
 #include "msc/workload/kernels.hpp"
@@ -25,7 +32,7 @@
 #include "user_conversion.hpp"
 
 using namespace msc;
-using simd::LaneStore;
+using ir::LaneStore;
 
 namespace {
 
@@ -295,33 +302,50 @@ enum class HostWrite { None, Poke, FillLane };
 
 struct ProbeRun {
   driver::Observed observed;
-  simd::SimdStats stats;
-  std::vector<std::int64_t> visits;
+  simd::SimdStats stats;               ///< SIMD machines only
+  std::vector<std::int64_t> visits;    ///< SIMD machines only
   std::vector<Value> memory;  ///< every PE's every local cell, address-major
 };
 
-ProbeRun run_probe(const driver::Compiled& compiled,
-                   const codegen::SimdProgram& prog,
+/// Apply `host`'s write to `addr`, run `m` (a SIMD engine, the MIMD oracle
+/// or the interpreter) and collect what it left behind.
+template <typename M>
+ProbeRun run_probe(M& m, const driver::Compiled& compiled,
                    const mimd::RunConfig& config, HostWrite host,
                    std::int64_t addr) {
-  auto m = simd::make_machine(prog, kCost, config);
   if (host == HostWrite::Poke)
     for (std::int64_t p = 0; p < config.nprocs; ++p)
-      m->poke(p, addr, Value::of_int(7));
+      m.poke(p, addr, Value::of_int(7));
   if (host == HostWrite::FillLane)
-    m->fill_lane(addr, std::vector<std::int64_t>(
-                           static_cast<std::size_t>(config.nprocs), 7));
-  m->run();
+    m.fill_lane(addr, std::vector<std::int64_t>(
+                          static_cast<std::size_t>(config.nprocs), 7));
+  m.run();
   ProbeRun r;
-  r.observed = driver::observe_simd(*m, compiled, config);
-  r.stats = m->stats();
-  r.visits = m->state_visits();
+  r.observed = driver::observe(m, compiled, config);
+  if constexpr (std::is_same_v<M, simd::SimdMachine>) {
+    r.stats = m.stats();
+    r.visits = m.state_visits();
+  }
   r.memory.reserve(static_cast<std::size_t>(config.nprocs *
                                             config.local_mem_cells));
   for (std::int64_t a = 0; a < config.local_mem_cells; ++a)
     for (std::int64_t p = 0; p < config.nprocs; ++p)
-      r.memory.push_back(m->peek(p, a));
+      r.memory.push_back(m.peek(p, a));
   return r;
+}
+
+/// Every child read a cleared a[4000] (returned 1000, never 1007), and
+/// there is one child per even initial PE.
+void expect_children_saw_zero(const ProbeRun& r) {
+  int children = 0;
+  for (std::int64_t p = 0; p < kProbePes; ++p) {
+    const std::size_t i = static_cast<std::size_t>(p);
+    if (!r.observed.ran[i]) continue;
+    const std::int64_t v = r.observed.results[i].as_int();
+    EXPECT_NE(v, 1007) << "child on pe " << p << " saw a stale cell";
+    if (v == 1000 || v == 1007) ++children;
+  }
+  EXPECT_EQ(children, kProbeActive / 2);
 }
 
 TEST(LaneSpawn, ChildrenSeeZeroWhereverAnyWritePathReached) {
@@ -372,16 +396,9 @@ TEST(LaneSpawn, ChildrenSeeZeroWhereverAnyWritePathReached) {
                            simd_isa_name(isa)));
           config.engine = engine;
           config.simd_isa = isa;
-          ProbeRun r = run_probe(compiled, prog, config, sc.host, addr);
-          int children = 0;
-          for (std::int64_t p = 0; p < kProbePes; ++p) {
-            const std::size_t i = static_cast<std::size_t>(p);
-            if (!r.observed.ran[i]) continue;
-            const std::int64_t v = r.observed.results[i].as_int();
-            EXPECT_NE(v, 1007) << "child on pe " << p << " saw a stale cell";
-            if (v == 1000 || v == 1007) ++children;
-          }
-          EXPECT_EQ(children, kProbeActive / 2);
+          auto m = simd::make_machine(prog, kCost, config);
+          ProbeRun r = run_probe(*m, compiled, config, sc.host, addr);
+          expect_children_saw_zero(r);
           EXPECT_EQ(r.stats.spawns, kProbeActive / 2);
           if (!first) {
             first = std::move(r);
@@ -392,6 +409,29 @@ TEST(LaneSpawn, ChildrenSeeZeroWhereverAnyWritePathReached) {
           EXPECT_EQ(r.visits, first->visits);
           EXPECT_TRUE(r.memory == first->memory);
         }
+      }
+      // The MIMD oracle and the interpreter keep PE memory in the same
+      // store, so the same spawn reset must clear what their writes
+      // reached, and they must leave what the SIMD engines left.
+      {
+        SCOPED_TRACE(cat(sc.name, reuse ? "/reuse/" : "/fresh/", "mimd"));
+        mimd::MimdMachine m(compiled.graph, kCost, config);
+        ProbeRun r = run_probe(m, compiled, config, sc.host, addr);
+        expect_children_saw_zero(r);
+        EXPECT_EQ(m.stats().spawns, kProbeActive / 2);
+        EXPECT_TRUE(r.observed == first->observed)
+            << r.observed.to_string() << "\n" << first->observed.to_string();
+        EXPECT_TRUE(r.memory == first->memory);
+      }
+      {
+        SCOPED_TRACE(cat(sc.name, reuse ? "/reuse/" : "/fresh/", "interp"));
+        interp::InterpMachine m(compiled.graph, kCost, config);
+        ProbeRun r = run_probe(m, compiled, config, sc.host, addr);
+        expect_children_saw_zero(r);
+        EXPECT_EQ(m.stats().spawns, kProbeActive / 2);
+        EXPECT_TRUE(r.observed == first->observed)
+            << r.observed.to_string() << "\n" << first->observed.to_string();
+        EXPECT_TRUE(r.memory == first->memory);
       }
     }
   }
@@ -409,6 +449,14 @@ TEST(LaneSpawn, ChildrenSeeZeroWhereverAnyWritePathReached) {
 #define MSC_TEST_ASAN 1
 #endif
 #endif
+
+/// Hand freed heap back to the system, so memory an earlier machine freed
+/// cannot hide the next machine's growth.
+void trim_heap() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
 
 /// This process's resident set in bytes, or -1 without /proc.
 std::int64_t resident_bytes() {
@@ -449,6 +497,100 @@ TEST(LaneFootprint, PaperSizeRunsCostWhatTheyTouch) {
       EXPECT_EQ(kernels::check(c, driver::observe_simd(*m, compiled, config)),
                 "");
     }
+  }
+}
+
+TEST(LaneFootprint, OracleAndInterpreterCostWhatTheyTouch) {
+#ifdef MSC_TEST_ASAN
+  GTEST_SKIP() << "ASan shadow pages count toward the resident set";
+#endif
+  if (resident_bytes() < 0) GTEST_SKIP() << "no /proc/self/statm";
+  // Construction and seeding only: the oracle's run at this size is a
+  // scheduling cost, not a memory one.
+  constexpr std::int64_t kBudget = 64ll << 20;
+  kernels::VerifiedParams params;
+  params.n = 16384;
+  const kernels::VerifiedCase c = kernels::make_case("reduce", params);
+  auto compiled = driver::compile(c.source);
+  const mimd::RunConfig& config = c.config;
+  ASSERT_EQ(config.local_mem_cells, 4096);
+  {
+    trim_heap();
+    const std::int64_t before = resident_bytes();
+    mimd::MimdMachine m(compiled.graph, kCost, config);
+    driver::seed_machine(m, compiled, config, c.input_seed);
+    const std::int64_t growth = resident_bytes() - before;
+    EXPECT_LT(growth, kBudget) << "oracle: resident growth " << (growth >> 20)
+                               << " MB";
+  }
+  {
+    trim_heap();
+    const std::int64_t before = resident_bytes();
+    interp::InterpMachine m(compiled.graph, kCost, config);
+    driver::seed_machine(m, compiled, config, c.input_seed);
+    const std::int64_t growth = resident_bytes() - before;
+    EXPECT_LT(growth, kBudget) << "interpreter: resident growth "
+                               << (growth >> 20) << " MB";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MimdStats and InterpStats of the six verified kernels at n = 65, taken
+// while both machines still kept PE memory in per-PE arrays: moving them
+// onto the lane store (or changing how the oracle schedules) must leave
+// every counter as it was.
+
+std::vector<std::int64_t> fields(const mimd::MimdStats& s) {
+  return {s.blocks_executed,     s.busy_cycles,         s.makespan,
+          s.barrier_idle_cycles, s.barrier_sync_cycles, s.barrier_releases,
+          s.spawns};
+}
+
+std::vector<std::int64_t> fields(const interp::InterpStats& s) {
+  return {s.control_cycles,    s.fetch_cycles,      s.dispatch_cycles,
+          s.execute_cycles,    s.loop_cycles,       s.busy_pe_cycles,
+          s.offered_pe_cycles, s.iterations,        s.global_ors,
+          s.spawns,            s.program_cells_per_pe};
+}
+
+TEST(StoreMachines, OracleAndInterpreterStatsMatchGoldens) {
+  struct Golden {
+    const char* kernel;
+    std::vector<std::int64_t> mimd;    ///< fields(MimdStats)
+    std::vector<std::int64_t> interp;  ///< fields(InterpStats), GlobalOr
+  };
+  const Golden goldens[] = {
+      {"reduce", {602, 10382, 879, 216, 3216, 7, 0},
+       {7299, 2196, 3531, 840, 732, 44688, 46784, 366, 366, 0, 219}},
+      {"scan", {1823, 33961, 921, 4064, 21840, 14, 0},
+       {6506, 2070, 3126, 620, 690, 162711, 174850, 345, 345, 0, 207}},
+      {"oddeven", {35377, 571989, 12161, 15676, 202800, 130, 0},
+       {94223, 29076, 45441, 10014, 9692, 2427757, 2540850, 4846, 4846, 0,
+        351}},
+      {"stencil", {1682, 36940, 764, 240, 12480, 8, 0},
+       {5795, 1746, 2751, 716, 582, 151038, 160030, 291, 291, 0, 273}},
+      {"bfs", {1950, 69467, 1328, 1253, 15600, 10, 0},
+       {9881, 2856, 4635, 1438, 952, 251013, 279110, 476, 476, 0, 429}},
+      {"workqueue", {810, 21398, 811, 0, 0, 0, 48},
+       {12391, 3114, 6486, 1753, 1038, 102920, 130272, 519, 519, 48, 219}},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.kernel);
+    kernels::VerifiedParams params;
+    params.n = 65;
+    const kernels::VerifiedCase c = kernels::make_case(g.kernel, params);
+    auto compiled = driver::compile(c.source);
+    mimd::MimdMachine oracle(compiled.graph, kCost, c.config);
+    driver::seed_machine(oracle, compiled, c.config, c.input_seed);
+    oracle.run();
+    EXPECT_EQ(fields(oracle.stats()), g.mimd);
+    EXPECT_EQ(kernels::check(c, driver::observe(oracle, compiled, c.config)),
+              "");
+    interp::InterpMachine im(compiled.graph, kCost, c.config);
+    driver::seed_machine(im, compiled, c.config, c.input_seed);
+    im.run();
+    EXPECT_EQ(fields(im.stats()), g.interp);
+    EXPECT_EQ(kernels::check(c, driver::observe(im, compiled, c.config)), "");
   }
 }
 

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -209,12 +210,21 @@ int print_pipeline(const driver::PipelineOptions& popts) {
   return kOk;
 }
 
-/// --coschedule: convert each verified kernel in `specs`, load all the
-/// automata onto one simulated machine and time-multiplex them. Prints
-/// per-program attribution plus machine-level utilization, checks every
-/// program against its host-side ground truth, and (with --profile-simd /
-/// --trace-simd) writes the co-scheduled profile document.
+/// A malformed --kernel or --coschedule spec (unknown name, bad or
+/// out-of-range size): a one-line usage error.
+int bad_kernel_spec(const std::exception& e) {
+  std::fprintf(stderr, "mscc: %s\n", e.what());
+  return kUsage;
+}
+
+/// --coschedule: convert each verified kernel in `specs` (`cases`, parsed
+/// from them up front), load all the automata onto one simulated machine
+/// and time-multiplex them. Prints per-program attribution plus
+/// machine-level utilization, checks every program against its host-side
+/// ground truth, and (with --profile-simd / --trace-simd) writes the
+/// co-scheduled profile document.
 int run_coschedule(const std::vector<std::string>& specs,
+                   const std::vector<kernels::VerifiedCase>& cases,
                    driver::PipelineOptions popts, const mimd::RunConfig& base,
                    std::uint64_t seed, const simd::CoOptions& co,
                    const std::string& profile_path,
@@ -228,14 +238,12 @@ int run_coschedule(const std::vector<std::string>& specs,
   // Converted holds the SimdProgram the machines reference; keep each at a
   // stable address for the machines' lifetime.
   std::vector<std::unique_ptr<driver::Converted>> converted;
-  std::vector<kernels::VerifiedCase> cases;
   std::vector<mimd::RunConfig> configs;
   simd::CoScheduler cs;
   const bool profiling = !profile_path.empty();
-  for (const std::string& spec : specs) {
-    kernels::VerifiedParams params;
-    params.input_seed = seed;
-    kernels::VerifiedCase c = kernels::parse_case(spec, params);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string& spec = specs[i];
+    const kernels::VerifiedCase& c = cases[i];
     input_name = cat("<kernel:", spec, ">");
     source = c.source;
     auto conv = std::make_unique<driver::Converted>(
@@ -249,7 +257,6 @@ int run_coschedule(const std::vector<std::string>& specs,
     if (profiling) machine->enable_profiling();
     cs.add_program(spec, std::move(machine));
     converted.push_back(std::move(conv));
-    cases.push_back(std::move(c));
     configs.push_back(config);
   }
 
@@ -404,7 +411,11 @@ int main(int argc, char** argv) {
       if (kernels::is_verified(name.substr(0, name.find('@')))) {
         verified_spec = name;  // source + geometry resolved after parsing
       } else {
-        source = workload::kernel(name).source;
+        try {
+          source = workload::kernel(name).source;
+        } catch (const std::out_of_range& e) {
+          return bad_kernel_spec(e);
+        }
       }
       input_name = cat("<kernel:", name, ">");
     }
@@ -466,8 +477,17 @@ int main(int argc, char** argv) {
       config.reuse_halted_pes = c.config.reuse_halted_pes;
       vcase = std::move(c);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "mscc: %s\n", e.what());
-      return usage();
+      return bad_kernel_spec(e);
+    }
+  }
+  std::vector<kernels::VerifiedCase> cosched_cases;
+  for (const std::string& spec : cosched_specs) {
+    try {
+      kernels::VerifiedParams params;
+      params.input_seed = seed;
+      cosched_cases.push_back(kernels::parse_case(spec, params));
+    } catch (const std::exception& e) {
+      return bad_kernel_spec(e);
     }
   }
 
@@ -487,9 +507,9 @@ int main(int argc, char** argv) {
   try {
     if (!cosched_specs.empty()) {
       co.seed = seed;
-      return run_coschedule(cosched_specs, popts, config, seed, co,
-                            profile_simd_path, trace_simd_path, input_name,
-                            source);
+      return run_coschedule(cosched_specs, cosched_cases, popts, config, seed,
+                            co, profile_simd_path, trace_simd_path,
+                            input_name, source);
     }
     ir::CostModel cost;
     driver::Converted converted = driver::convert(source, cost, popts);
@@ -523,48 +543,55 @@ int main(int argc, char** argv) {
     }
 
     if (run) {
-      simd::SimdStats stats;
-      auto oracle = driver::run_oracle(compiled, config, seed);
-      const bool observe_machine = trace || !trace_simd_path.empty() ||
-                                   !profile_simd_path.empty() ||
-                                   chrome.has_value();
-      if (observe_machine) {
-        // Step the SIMD machine manually, printing occupancy per state
-        // and/or dumping the execution-stats JSON.
-        class Printer final : public simd::SimdTracer {
-         public:
-          void on_state(core::MetaId id, const DynBitset& occ,
-                        std::int64_t alive) override {
-            std::printf("%5d  ms%-4u occ=%-18s alive=%lld\n", step_++, id,
-                        occ.to_string().c_str(), static_cast<long long>(alive));
-          }
-          void on_transition(core::MetaId, core::MetaId to,
-                             const DynBitset& apc) override {
-            if (to == core::kNoMeta)
-              std::printf("       exit on apc=%s\n", apc.to_string().c_str());
-          }
-
-         private:
-          int step_ = 0;
-        } printer;
-        auto machine = simd::make_machine(*converted.prog, cost, config);
-        driver::seed_machine(*machine, compiled, config, seed);
-        if (trace) {
-          machine->set_tracer(&printer);
-          std::printf("\n%5s  %-6s %-22s %s\n", "step", "state", "occupancy",
-                      "alive");
-        }
-        if (!profile_simd_path.empty()) machine->enable_profiling();
-        if (chrome) machine->set_trace_sink(&*chrome);
-        machine->run();
-        if (!trace_simd_path.empty())
-          driver::write_simd_trace(*machine, trace_simd_path);
-        if (!profile_simd_path.empty())
-          driver::write_json_file(simd::to_json(*machine), "simd profile",
-                                  profile_simd_path);
+      // One program (the codegen pass's) and one machine serve the
+      // comparison and every observer; observers attach only when asked.
+      driver::Observed oracle;
+      {
+        telemetry::ScopedSpan span(popts.trace_sink, "mimd.oracle", "run");
+        oracle = driver::run_oracle(compiled, config, seed);
       }
-      auto simd = driver::run_simd(compiled, conv, config, seed, cost, gopts,
-                                   &stats);
+      std::unique_ptr<simd::SimdMachine> machine;
+      {
+        telemetry::ScopedSpan span(popts.trace_sink, "simd.construct", "run");
+        machine = simd::make_machine(*converted.prog, cost, config);
+        driver::seed_machine(*machine, compiled, config, seed);
+      }
+      // Prints occupancy per executed meta state (--trace).
+      class Printer final : public simd::SimdTracer {
+       public:
+        void on_state(core::MetaId id, const DynBitset& occ,
+                      std::int64_t alive) override {
+          std::printf("%5d  ms%-4u occ=%-18s alive=%lld\n", step_++, id,
+                      occ.to_string().c_str(), static_cast<long long>(alive));
+        }
+        void on_transition(core::MetaId, core::MetaId to,
+                           const DynBitset& apc) override {
+          if (to == core::kNoMeta)
+            std::printf("       exit on apc=%s\n", apc.to_string().c_str());
+        }
+
+       private:
+        int step_ = 0;
+      } printer;
+      if (trace) {
+        machine->set_tracer(&printer);
+        std::printf("\n%5s  %-6s %-22s %s\n", "step", "state", "occupancy",
+                    "alive");
+      }
+      if (!profile_simd_path.empty()) machine->enable_profiling();
+      if (chrome) machine->set_trace_sink(&*chrome);
+      {
+        telemetry::ScopedSpan span(popts.trace_sink, "simd.run", "run");
+        machine->run();
+      }
+      if (!trace_simd_path.empty())
+        driver::write_simd_trace(*machine, trace_simd_path);
+      if (!profile_simd_path.empty())
+        driver::write_json_file(simd::to_json(*machine), "simd profile",
+                                profile_simd_path);
+      const simd::SimdStats& stats = machine->stats();
+      const driver::Observed simd =
+          driver::observe_simd(*machine, compiled, config);
       std::printf("\noracle: %s\n", oracle.to_string().c_str());
       std::printf("simd  : %s\n", simd.to_string().c_str());
       std::printf("match : %s\n", oracle == simd ? "yes" : "NO");
