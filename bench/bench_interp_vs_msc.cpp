@@ -23,7 +23,7 @@ struct Row {
   std::string kernel;
   interp::InterpStats naive;
   interp::InterpStats smart;
-  simd::SimdStats msc;       // fast (occupancy-indexed) engine
+  simd::SimdStats msc;       // codegen (default) engine
   simd::SimdStats msc_ref;   // reference (scalar) engine — must equal msc
 };
 
@@ -46,7 +46,7 @@ Row measure(const workload::Kernel& k) {
     (dispatch == interp::Dispatch::Naive ? row.naive : row.smart) = m.stats();
   }
   auto conv = bench::convert(compiled.graph, kCost);
-  cfg.engine = mimd::SimdEngine::Fast;
+  cfg.engine = mimd::SimdEngine::Codegen;
   driver::run_simd(compiled, conv, cfg, kSeed, kCost, {}, &row.msc);
   cfg.engine = mimd::SimdEngine::Reference;
   driver::run_simd(compiled, conv, cfg, kSeed, kCost, {}, &row.msc_ref);
@@ -103,13 +103,13 @@ void report() {
            bench::pct(r.msc.utilization())});
   u.print("PE utilization while executing");
 
-  Table e({"kernel", "fast cyc", "reference cyc", "stats equal"},
+  Table e({"kernel", "codegen cyc", "reference cyc", "stats equal"},
           {18, 12, 15, 12});
   for (const Row& r : rows)
     e.row({r.kernel, bench::num(r.msc.control_cycles),
            bench::num(r.msc_ref.control_cycles),
            r.msc == r.msc_ref ? "yes" : "DRIFT"});
-  e.print("Engine cross-check — the occupancy-indexed engine and the scalar "
+  e.print("Engine cross-check — the codegen engine and the scalar "
           "reference report bit-identical simulated cycles");
 }
 

@@ -42,15 +42,6 @@ driver::PipelineOptions codegen_pipeline() {
   return popts;
 }
 
-const char* engine_name(mimd::SimdEngine e) {
-  switch (e) {
-    case mimd::SimdEngine::Reference: return "reference";
-    case mimd::SimdEngine::Fast: return "fast";
-    case mimd::SimdEngine::Codegen: return "codegen";
-  }
-  return "?";
-}
-
 struct KernelRun {
   simd::SimdStats stats;
   bool ground_truth_ok = false;
@@ -90,7 +81,6 @@ simd::CoResult run_mix(const std::vector<std::string>& mix,
     auto conv = std::make_unique<driver::Converted>(
         driver::convert(c.source, kCost, codegen_pipeline()));
     mimd::RunConfig config = c.config;
-    config.engine = mimd::SimdEngine::Fast;
     auto m = simd::make_machine(*conv->prog, kCost, config);
     driver::seed_machine(*m, conv->compiled, config, kSeed);
     cs.add_program(spec, std::move(m));
@@ -129,14 +119,14 @@ void report_kernels() {
   std::string first_failure;
   for (const std::string& name : kernels::verified_names()) {
     for (const auto engine :
-         {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
-          mimd::SimdEngine::Codegen}) {
+         {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
       const KernelRun r = run_kernel(name + "@65", engine);
       if (!r.ground_truth_ok && first_failure.empty())
-        first_failure = cat(name, "@65/", engine_name(engine), ": ",
+        first_failure = cat(name, "@65/", simd::engine_name(engine), ": ",
                             r.diagnostic);
       all_ok = all_ok && r.ground_truth_ok;
-      t.row({name, engine_name(engine), bench::num(r.stats.control_cycles),
+      t.row({name, simd::engine_name(engine),
+             bench::num(r.stats.control_cycles),
              bench::num(r.stats.busy_pe_cycles),
              bench::pct(r.stats.utilization()),
              bench::num(r.stats.meta_transitions),
@@ -149,22 +139,21 @@ void report_kernels() {
   for (const std::string& name : kernels::verified_names())
     for (const int n : {5, 64})
       for (const auto engine :
-           {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
-            mimd::SimdEngine::Codegen}) {
+           {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
         const KernelRun r = run_kernel(cat(name, "@", n), engine);
         if (!r.ground_truth_ok && first_failure.empty())
-          first_failure = cat(name, "@", n, "/", engine_name(engine), ": ",
-                              r.diagnostic);
+          first_failure = cat(name, "@", n, "/", simd::engine_name(engine),
+                              ": ", r.diagnostic);
         all_ok = all_ok && r.ground_truth_ok;
       }
   report.gate("T-KERN.ground-truth", all_ok,
-              all_ok ? "6 kernels x 3 engines x n in {5, 64, 65} all "
+              all_ok ? "6 kernels x 2 engines x n in {5, 64, 65} all "
                        "bit-correct against host expected()"
                      : first_failure);
 
   // ---- T-COSCHED: policy comparison per mix, best-sequential exact.
   std::printf("\n== T-COSCHED: co-scheduling policies vs exact "
-              "best-sequential (fast engine) ==\n");
+              "best-sequential (codegen engine) ==\n");
   const std::vector<std::vector<std::string>> mixes = {
       {"reduce@65", "reduce@64"},
       {"reduce@65", "scan@65"},

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <iterator>
 
 #include "msc/codegen/translate.hpp"
 #include "msc/driver/pipeline.hpp"
@@ -25,16 +26,16 @@ namespace {
 ir::CostModel kCost;
 constexpr std::uint64_t kSeed = 59;
 
-/// Best-of-9 wall-clock seconds for run() on one engine, in the default
-/// configuration (4096 local cells per PE). Construction and seeding are
-/// untimed: they are engine-independent and O(1) in local_mem_cells (the
-/// lane store maps zero pages), while the engines differ only in the
-/// broadcast/step hot path being measured.
+/// Best-of-`reps` wall-clock seconds for run() on one engine, in the
+/// default configuration (4096 local cells per PE). Construction and
+/// seeding are untimed: they are engine-independent and O(1) in
+/// local_mem_cells (the lane store maps zero pages), while the engines
+/// differ only in the broadcast/step hot path being measured.
 double time_engine(const codegen::SimdProgram& prog,
                    const driver::Compiled& compiled, mimd::RunConfig cfg,
-                   simd::SimdStats* stats_out) {
+                   simd::SimdStats* stats_out, int reps = 9) {
   double best = 1e100;
-  for (int rep = 0; rep < 9; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     auto m = simd::make_machine(prog, kCost, cfg);
     driver::seed_machine(*m, compiled, cfg, kSeed);
     auto t0 = std::chrono::steady_clock::now();
@@ -47,34 +48,33 @@ double time_engine(const codegen::SimdProgram& prog,
 }
 
 void report_engines() {
-  // The tentpole claim: with sparse occupancy (1 of every 64 PEs active)
-  // the occupancy-indexed engine does host work proportional to *enabled*
-  // PEs while the reference engine scans all nprocs per broadcast op.
-  // Simulated SimdStats are bit-identical by contract; only host wall
-  // clock differs.
-  std::printf("\n== T-ENGINE: fast vs reference engine, sparse occupancy "
+  // With sparse occupancy (1 of every 64 PEs active) the codegen engine's
+  // occupancy index does host work proportional to *enabled* PEs while
+  // the reference engine scans all nprocs per broadcast op. Simulated
+  // SimdStats are bit-identical by contract; only host wall clock differs.
+  std::printf("\n== T-ENGINE: codegen vs reference engine, sparse occupancy "
               "(1/64 PEs active) ==\n");
   for (const char* name : {"listing1", "branchy4"}) {
     auto compiled = driver::compile(workload::kernel(name).source);
     auto conv = bench::convert(compiled.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
-    Table t({"PEs", "active", "fast us", "reference us", "host speedup",
+    Table t({"PEs", "active", "codegen us", "reference us", "host speedup",
              "stats equal"},
             {8, 8, 12, 14, 14, 12});
     for (std::int64_t n : {256, 1024, 4096, 8192}) {
       mimd::RunConfig cfg;
       cfg.nprocs = n;
       cfg.initial_active = n / 64;
-      simd::SimdStats fast_stats, ref_stats;
-      cfg.engine = mimd::SimdEngine::Fast;
-      double fast_s = time_engine(prog, compiled, cfg, &fast_stats);
+      simd::SimdStats cg_stats, ref_stats;
+      cfg.engine = mimd::SimdEngine::Codegen;
+      double cg_s = time_engine(prog, compiled, cfg, &cg_stats);
       cfg.engine = mimd::SimdEngine::Reference;
       double ref_s = time_engine(prog, compiled, cfg, &ref_stats);
       t.row({bench::num(n), bench::num(n / 64),
-             bench::num(static_cast<std::int64_t>(fast_s * 1e6)),
+             bench::num(static_cast<std::int64_t>(cg_s * 1e6)),
              bench::num(static_cast<std::int64_t>(ref_s * 1e6)),
-             bench::ratio(ref_s / fast_s),
-             fast_stats == ref_stats ? "yes" : "DRIFT"});
+             bench::ratio(ref_s / cg_s),
+             cg_stats == ref_stats ? "yes" : "DRIFT"});
     }
     t.print(std::string(name) +
             ": host wall clock of run() (best of 9); simulated cycle "
@@ -114,13 +114,13 @@ void report_translation_cache() {
   // high-occupancy rows (every PE active, one densely populated group per
   // meta state) the specialized engine's pre-resolved guards, fused ops,
   // folded constants, and O(1) per-group stats charging must beat the
-  // fast engine's per-SOp interpretation by ≥3x host wall clock while
-  // staying bit-identical on the simulated counters. Both engines are
-  // pinned to the scalar ISA: T-TC measures translation quality on the
-  // per-PE interpretation path; the lane backend has its own table
-  // (T-VEC) and would otherwise make the ratio an artifact of how much
-  // of each stream vectorizes.
-  std::printf("\n== T-TC: translation-cached codegen engine vs fast, "
+  // reference engine's per-SOp interpretation by ≥3x host wall clock
+  // while staying bit-identical on the simulated counters. Both engines
+  // run the scalar ISA (the reference engine never leaves it): T-TC
+  // measures translation quality on the per-PE path; the lane backend has
+  // its own table (T-VEC) and would otherwise make the ratio an artifact
+  // of how much of each stream vectorizes.
+  std::printf("\n== T-TC: translation-cached codegen engine vs reference, "
               "full occupancy ==\n");
   auto compiled = driver::compile(kConstHeavy);
   auto conv = bench::convert(compiled.graph, kCost);
@@ -128,24 +128,25 @@ void report_translation_cache() {
   codegen::translation_cache_clear();  // count only this section's traffic
 
   bench::JsonReport& report = bench::JsonReport::instance();
-  Table t({"PEs", "fast us", "codegen us", "host speedup", "stats equal"},
-          {8, 10, 12, 14, 12});
+  Table t({"PEs", "reference us", "codegen us", "host speedup",
+           "stats equal"},
+          {8, 14, 12, 14, 12});
   double gated_speedup = 0.0;
   bool stats_ok = true;
   for (std::int64_t n : {256, 1024, 4096}) {
     mimd::RunConfig cfg;
     cfg.nprocs = n;
     cfg.simd_isa = SimdIsa::Scalar;
-    simd::SimdStats fast_stats, cg_stats;
-    cfg.engine = mimd::SimdEngine::Fast;
-    double fast_s = time_engine(prog, compiled, cfg, &fast_stats);
+    simd::SimdStats ref_stats, cg_stats;
+    cfg.engine = mimd::SimdEngine::Reference;
+    double ref_s = time_engine(prog, compiled, cfg, &ref_stats);
     cfg.engine = mimd::SimdEngine::Codegen;
     double cg_s = time_engine(prog, compiled, cfg, &cg_stats);
-    const bool equal = fast_stats == cg_stats;
+    const bool equal = ref_stats == cg_stats;
     stats_ok &= equal;
-    const double speedup = fast_s / cg_s;
+    const double speedup = ref_s / cg_s;
     gated_speedup = std::max(gated_speedup, speedup);
-    t.row({bench::num(n), bench::num(static_cast<std::int64_t>(fast_s * 1e6)),
+    t.row({bench::num(n), bench::num(static_cast<std::int64_t>(ref_s * 1e6)),
            bench::num(static_cast<std::int64_t>(cg_s * 1e6)),
            bench::ratio(speedup), equal ? "yes" : "DRIFT"});
     report.metric(cat("tc.speedup_", n, "pe"), speedup);
@@ -174,16 +175,16 @@ void report_translation_cache() {
 
 void report_vectorization() {
   // T-VEC — the lane-major store's host-SIMD execution backend
-  // (DESIGN.md §14). With every PE active the fast engine executes
-  // whole-lane op runs under the host vector ISA; forcing
-  // --simd-isa scalar takes the per-PE path over the same store. The
+  // (DESIGN.md §14). With every PE active the codegen engine executes
+  // whole-lane groups under the host vector ISA; forcing
+  // --simd-isa scalar takes the flat-list path over the same store. The
   // simulated SimdStats are bit-identical by contract — only host wall
   // clock may differ, and at ≥1024 PEs it must differ by ≥2x. Under
-  // sparse occupancy (1/64 active) both ISAs take the per-PE fallback
-  // spans, so vector selection must cost nothing there.
+  // sparse occupancy (1/64 active) both ISAs take the flat-list path,
+  // so vector selection must cost nothing there.
   const SimdIsa host = resolve_simd_isa(SimdIsa::Auto);
   std::printf("\n== T-VEC: host-SIMD lane execution vs forced scalar, "
-              "fast engine, full occupancy (host isa: %s) ==\n",
+              "codegen engine, full occupancy (host isa: %s) ==\n",
               simd_isa_name(host));
   bench::JsonReport& report = bench::JsonReport::instance();
   auto compiled = driver::compile(kConstHeavy);
@@ -209,7 +210,7 @@ void report_vectorization() {
   for (std::int64_t n : {256, 1024, 4096}) {
     mimd::RunConfig cfg;
     cfg.nprocs = n;
-    cfg.engine = mimd::SimdEngine::Fast;
+    cfg.engine = mimd::SimdEngine::Codegen;
     simd::SimdStats scalar_stats, vec_stats;
     cfg.simd_isa = SimdIsa::Scalar;
     double scalar_s = time_engine(prog, compiled, cfg, &scalar_stats);
@@ -233,8 +234,8 @@ void report_vectorization() {
                   " (gate 2.00x), stats ",
                   stats_ok ? "bit-identical" : "DRIFTED"));
 
-  // Low occupancy: 1/64 PEs enabled puts every run below the lane
-  // threshold, so both ISAs execute the identical per-PE fallback; the
+  // Low occupancy: 1/64 PEs enabled puts every group below the lane
+  // threshold, so both ISAs execute the identical flat-list path; the
   // vector build must not regress. Summed over the rows to keep the
   // ratio out of timer noise.
   double sparse_scalar = 0.0, sparse_vec = 0.0;
@@ -243,7 +244,7 @@ void report_vectorization() {
     mimd::RunConfig cfg;
     cfg.nprocs = n;
     cfg.initial_active = n / 64;
-    cfg.engine = mimd::SimdEngine::Fast;
+    cfg.engine = mimd::SimdEngine::Codegen;
     simd::SimdStats scalar_stats, vec_stats;
     cfg.simd_isa = SimdIsa::Scalar;
     sparse_scalar += time_engine(prog, compiled, cfg, &scalar_stats);
@@ -261,20 +262,22 @@ void report_vectorization() {
 }
 
 void report_observability() {
-  // T-OBS — the zero-cost-when-off contract (ISSUE: with no sink attached
-  // FastSimdMachine throughput must not regress). The structural argument
+  // T-OBS — the zero-cost-when-off contract: with no sink attached the
+  // default engine's throughput must not regress. The structural argument
   // is that the step() observability hook is a single bool test when
   // nothing is attached (DESIGN.md §10); this bench pins the residual cost
   // empirically by comparing a machine that never saw a sink against one
   // that had a sink attached and then detached — any state left behind by
   // attachment would show up as a wall-clock gap between the two. Tracing
   // and profiling overheads are reported alongside for the record.
-  std::printf("\n== T-OBS: observability overhead on the fast engine ==\n");
+  std::printf("\n== T-OBS: observability overhead on the codegen engine "
+              "==\n");
   auto compiled = driver::compile(workload::kernel("branchy4").source);
   auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = 1024;
+  cfg.engine = mimd::SimdEngine::Codegen;
 
   simd::SimdStats stats;
   // All four modes are timed inside each rep (interleaved, rotating start
@@ -347,6 +350,122 @@ void report_observability() {
                   " us, tolerance ", fmt_double(tolerance * 1e6, 1), " us"));
 }
 
+void report_grid() {
+  // T-GRID — every engine × ISA configuration against every occupancy
+  // regime, so the default is judged against the best alternative rather
+  // than along one convenient axis. A row is (workload, occupancy); a cell
+  // is the best-of-N run() time summed over 256 and 4096 PEs (the sum keeps
+  // the microsecond-scale small rows out of timer noise, as do the extra
+  // repetitions of the cheap 1/64 runs). The gate: RunConfig's default
+  // (engine, isa) is within 1.10x of the best configuration in every row,
+  // with SimdStats bit-identical across it.
+  struct Config {
+    const char* label;
+    mimd::SimdEngine engine;
+    SimdIsa isa;
+  };
+  const Config configs[] = {
+      {"reference/scalar", mimd::SimdEngine::Reference, SimdIsa::Scalar},
+      {"codegen/scalar", mimd::SimdEngine::Codegen, SimdIsa::Scalar},
+      {"codegen/auto", mimd::SimdEngine::Codegen, SimdIsa::Auto},
+  };
+  constexpr std::size_t kConfigs = std::size(configs);
+  const mimd::RunConfig defaults;
+  std::size_t dflt = 0;
+  for (std::size_t c = 0; c < kConfigs; ++c)
+    if (configs[c].engine == defaults.engine &&
+        configs[c].isa == defaults.simd_isa)
+      dflt = c;
+  // Configurations are compared after ISA resolution: where auto resolves
+  // to scalar (the forced-scalar build, hosts without AVX2/NEON) codegen/
+  // auto *is* codegen/scalar, and timing it twice would gate on noise.
+  std::size_t twin[kConfigs];
+  for (std::size_t c = 0; c < kConfigs; ++c) {
+    twin[c] = c;
+    for (std::size_t e = 0; e < c && twin[c] == c; ++e)
+      if (configs[e].engine == configs[c].engine &&
+          resolve_simd_isa(configs[e].isa) == resolve_simd_isa(configs[c].isa))
+        twin[c] = e;
+  }
+  std::printf("\n== T-GRID: engine x ISA x occupancy, default %s "
+              "(host isa: %s) ==\n",
+              configs[dflt].label,
+              simd_isa_name(resolve_simd_isa(SimdIsa::Auto)));
+
+  bench::JsonReport& report = bench::JsonReport::instance();
+  std::vector<std::string> headers = {"workload", "occupancy"};
+  std::vector<int> widths = {13, 11};
+  for (const Config& c : configs) {
+    headers.push_back(cat(c.label, " us"));
+    widths.push_back(static_cast<int>(headers.back().size()) + 2);
+  }
+  headers.insert(headers.end(), {"default/best", "stats equal"});
+  widths.insert(widths.end(), {14, 12});
+  Table t(headers, widths);
+
+  const std::pair<const char*, std::string> workloads[] = {
+      {"const-heavy", kConstHeavy},
+      {"listing1", workload::kernel("listing1").source},
+      {"branchy4", workload::kernel("branchy4").source}};
+  double worst = 0.0;
+  std::string worst_row;
+  bool stats_ok = true;
+  for (const auto& [name, source] : workloads) {
+    auto compiled = driver::compile(source);
+    auto conv = bench::convert(compiled.graph, kCost);
+    auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
+    for (const std::int64_t divisor : {1, 64}) {
+      const char* occupancy = divisor == 1 ? "full" : "1/64";
+      double sum[kConfigs] = {};
+      bool equal = true;
+      for (const std::int64_t n : {256, 4096}) {
+        // The configurations take turns within each repetition, so slow
+        // drift (clock frequency, neighbours) lands on all of them alike.
+        double best[kConfigs];
+        std::fill(best, best + kConfigs, 1e100);
+        simd::SimdStats stats[kConfigs];
+        for (int rep = 0; rep < (divisor == 1 ? 9 : 33); ++rep) {
+          for (std::size_t c = 0; c < kConfigs; ++c) {
+            if (twin[c] != c) continue;
+            mimd::RunConfig cfg;
+            cfg.nprocs = n;
+            cfg.initial_active = n / divisor;
+            cfg.engine = configs[c].engine;
+            cfg.simd_isa = configs[c].isa;
+            best[c] = std::min(
+                best[c], time_engine(prog, compiled, cfg, &stats[c], 1));
+          }
+        }
+        for (std::size_t c = 0; c < kConfigs; ++c) {
+          sum[c] += best[twin[c]];
+          equal &= stats[twin[c]] == stats[0];
+        }
+      }
+      stats_ok &= equal;
+      const double best = *std::min_element(sum, sum + kConfigs);
+      const double ratio = sum[dflt] / best;
+      if (ratio > worst) {
+        worst = ratio;
+        worst_row = cat(name, " ", occupancy);
+      }
+      std::vector<std::string> cells = {name, occupancy};
+      for (double s : sum)
+        cells.push_back(bench::num(static_cast<std::int64_t>(s * 1e6)));
+      cells.insert(cells.end(), {bench::ratio(ratio), equal ? "yes" : "DRIFT"});
+      t.row(cells);
+      report.metric(cat("grid.", name, divisor == 1 ? ".full" : ".sparse",
+                        ".default_over_best"),
+                    ratio);
+    }
+  }
+  t.print("run() wall clock summed over 256 and 4096 PEs (best of 9 at full "
+          "occupancy, 33 at 1/64 = one PE in 64 initially active)");
+  report.gate("T-GRID.default-near-best", worst <= 1.10 && stats_ok,
+              cat("default ", configs[dflt].label, " worst row ", worst_row,
+                  " at ", bench::ratio(worst), " of the best (gate 1.10x), "
+                  "stats ", stats_ok ? "bit-identical" : "DRIFTED"));
+}
+
 void report() {
   std::printf("== T-SCALE: cycles vs. machine size ==\n");
 
@@ -380,6 +499,7 @@ void report() {
   report_translation_cache();
   report_vectorization();
   report_observability();
+  report_grid();
 }
 
 void BM_SimdAtScale(benchmark::State& state) {
@@ -401,16 +521,16 @@ BENCHMARK(BM_SimdAtScale)->RangeMultiplier(4)->Range(4, 1024)->Complexity();
 
 void BM_SimdEngineSparse(benchmark::State& state) {
   // Args: {nprocs, engine} with 1/64 of the PEs initially active — the
-  // sparse-occupancy regime where the occupancy-indexed engine wins.
+  // sparse-occupancy regime where the codegen engine's occupancy index
+  // wins.
   auto compiled = driver::compile(workload::kernel("branchy4").source);
   auto conv = bench::convert(compiled.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
   mimd::RunConfig cfg;
   cfg.nprocs = state.range(0);
   cfg.initial_active = cfg.nprocs / 64;
-  cfg.engine = state.range(1) == 0   ? mimd::SimdEngine::Fast
-               : state.range(1) == 1 ? mimd::SimdEngine::Reference
-                                     : mimd::SimdEngine::Codegen;
+  cfg.engine = state.range(1) == 0 ? mimd::SimdEngine::Reference
+                                   : mimd::SimdEngine::Codegen;
   for (auto _ : state) {
     state.PauseTiming();  // construction/seeding are engine-independent
     auto m = simd::make_machine(prog, kCost, cfg);
@@ -422,7 +542,7 @@ void BM_SimdEngineSparse(benchmark::State& state) {
   state.SetLabel(simd::engine_name(cfg.engine));
 }
 BENCHMARK(BM_SimdEngineSparse)
-    ->ArgsProduct({{256, 1024, 4096}, {0, 1, 2}});
+    ->ArgsProduct({{256, 1024, 4096}, {0, 1}});
 
 void BM_OracleAtScale(benchmark::State& state) {
   auto compiled = driver::compile(workload::listing1().source);

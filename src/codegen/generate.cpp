@@ -1,6 +1,7 @@
 #include <set>
 
 #include "msc/codegen/program.hpp"
+#include "msc/codegen/translate.hpp"
 #include "msc/support/str.hpp"
 
 namespace msc::codegen {
@@ -68,6 +69,7 @@ class Generator {
     for (MetaCode& mc : prog.states)
       if (mc.trans == TransKind::Direct && mc.direct_target == mc.id + 1)
         mc.fallthrough = true;
+    prog.body_hash = hash_body(prog);
     return prog;
   }
 

@@ -1,6 +1,7 @@
 #ifndef MSC_CODEGEN_PROGRAM_HPP
 #define MSC_CODEGEN_PROGRAM_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -88,6 +89,12 @@ struct SimdProgram {
 
   /// members → meta id (rescue transitions, tests).
   std::unordered_map<DynBitset, core::MetaId, DynBitsetHash> index;
+
+  /// Structural hash of the body (hash_body() in codegen/translate.hpp),
+  /// set by generate(). The translation cache keys on it with the cost
+  /// model, so building a machine does not rehash the program; code that
+  /// edits a generated program must recompute it.
+  std::array<std::uint64_t, 2> body_hash{};
 
   /// §3.2.4 masking applied to a runtime aggregate pc.
   DynBitset transition_key(const DynBitset& apc) const;

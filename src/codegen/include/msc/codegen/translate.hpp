@@ -1,6 +1,7 @@
 #ifndef MSC_CODEGEN_TRANSLATE_HPP
 #define MSC_CODEGEN_TRANSLATE_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -12,7 +13,7 @@
 namespace msc::codegen {
 
 /// Host opcodes of the translated stream executed by the codegen engine
-/// (mimd::SimdEngine::Codegen). The interpretive engines dispatch one SOp
+/// (mimd::SimdEngine::Codegen). The reference engine dispatches one SOp
 /// per broadcast; translation collapses common shapes the compiler emits —
 /// the immediate-operand fusions below are the SOp-level analogue of the
 /// fold/copy-propagation pass in qemu's tcg/optimize.c.
@@ -44,7 +45,7 @@ struct TOp {
 /// enable-mask accounting, and the cycle arithmetic all happen once per
 /// group instead of once per op: the simulated-cost aggregates below are
 /// precomputed from the ORIGINAL ops so SimdStats stay bit-identical to
-/// the interpretive engines no matter how hard the host stream folded.
+/// the reference engine no matter how hard the host stream folded.
 struct TGroup {
   /// Sorted MIMD states of the shared guard (gather key into occ_[]).
   std::vector<ir::StateId> guard_states;
@@ -76,10 +77,15 @@ struct TransProgram {
 /// also published as codegen.trans_cache_* metrics).
 using TranslationCacheStats = support::CacheStats;
 
+/// Two independent 64-bit structural hashes over everything
+/// execution-relevant in the program body: per-state guards, opcodes,
+/// operands and targets (SimdProgram::body_hash).
+std::array<std::uint64_t, 2> hash_body(const SimdProgram& prog);
+
 /// Translate `prog` under `cost`, through the process-global single-flight
-/// LRU cache keyed by a structural hash of the program body plus the cost
-/// model: repeat runs of the same automaton (any RunConfig) skip
-/// translation, and concurrent first runs translate once.
+/// LRU cache keyed by `prog.body_hash` plus the cost model: repeat runs of
+/// the same automaton (any RunConfig) skip translation, and concurrent
+/// first runs translate once.
 std::shared_ptr<const TransProgram> translate(const SimdProgram& prog,
                                               const ir::CostModel& cost);
 

@@ -237,7 +237,7 @@ void translate_state(const MetaCode& mc, const ir::CostModel& cost,
   };
   for (const SOp& op : mc.code) {
     // Maximal same-guard runs: new_guard marks exactly the enable-mask
-    // reprogramming boundaries both interpretive engines charge for.
+    // reprogramming boundaries the reference engine charges for.
     if (op.new_guard || !g) {
       close_group();
       out->groups.emplace_back();
@@ -312,22 +312,8 @@ struct Hasher {
 
 Key cache_key(const SimdProgram& prog, const ir::CostModel& cost) {
   Hasher h;
-  h.mix(prog.mimd_states);
-  h.mix(prog.states.size());
-  for (const MetaCode& mc : prog.states) {
-    h.mix(mc.id);
-    h.mix(mc.code.size());
-    for (const SOp& op : mc.code) {
-      h.mix(static_cast<std::uint64_t>(op.kind));
-      h.mix(op.new_guard);
-      h.mix(op.guard_states.size());
-      for (ir::StateId s : op.guard_states) h.mix(s);
-      h.mix(static_cast<std::uint64_t>(op.instr.op));
-      h.mix_value(op.instr.imm);
-      h.mix(op.a);
-      h.mix(op.b);
-    }
-  }
+  h.mix(prog.body_hash[0]);
+  h.mix(prog.body_hash[1]);
   for (std::int64_t c :
        {cost.push, cost.pop, cost.dup, cost.ld_local, cost.st_local,
         cost.ld_mono, cost.st_mono, cost.route, cost.alu, cost.mul, cost.div,
@@ -347,6 +333,27 @@ TransCache& cache() {
 }
 
 }  // namespace
+
+std::array<std::uint64_t, 2> hash_body(const SimdProgram& prog) {
+  Hasher h;
+  h.mix(prog.mimd_states);
+  h.mix(prog.states.size());
+  for (const MetaCode& mc : prog.states) {
+    h.mix(mc.id);
+    h.mix(mc.code.size());
+    for (const SOp& op : mc.code) {
+      h.mix(static_cast<std::uint64_t>(op.kind));
+      h.mix(op.new_guard);
+      h.mix(op.guard_states.size());
+      for (ir::StateId s : op.guard_states) h.mix(s);
+      h.mix(static_cast<std::uint64_t>(op.instr.op));
+      h.mix_value(op.instr.imm);
+      h.mix(op.a);
+      h.mix(op.b);
+    }
+  }
+  return {h.a, h.b};
+}
 
 std::shared_ptr<const TransProgram> translate(const SimdProgram& prog,
                                               const ir::CostModel& cost) {

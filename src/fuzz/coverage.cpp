@@ -60,31 +60,26 @@ std::vector<RunSpec> default_matrix() {
   // Base pipeline on both engines, plus a threads=2 conversion whose
   // automaton must be bit-identical to the serial one (checked inside
   // evaluate()).
-  add(base, BarrierMode::TrackOccupancy, 1, SimdEngine::Fast);
   add(base, BarrierMode::TrackOccupancy, 1, SimdEngine::Reference);
   add(base, BarrierMode::TrackOccupancy, 1, SimdEngine::Codegen);
-  add(base, BarrierMode::TrackOccupancy, 2, SimdEngine::Fast);
+  add(base, BarrierMode::TrackOccupancy, 2, SimdEngine::Codegen);
   // The paper's §2.6 pruning rule (cells the converter must *reject* —
   // compress/spawn/multi-barrier — are asserted inside evaluate()).
-  add(base, BarrierMode::PaperPrune, 1, SimdEngine::Fast);
   add(base, BarrierMode::PaperPrune, 1, SimdEngine::Reference);
   add(base, BarrierMode::PaperPrune, 1, SimdEngine::Codegen);
   // §2.5 compression, with and without Fig. 5 subsumption.
-  add(comp, BarrierMode::TrackOccupancy, 1, SimdEngine::Fast);
   add(comp, BarrierMode::TrackOccupancy, 1, SimdEngine::Reference);
   add(comp, BarrierMode::TrackOccupancy, 1, SimdEngine::Codegen);
   add({"compress", "convert", "straighten"}, BarrierMode::TrackOccupancy, 1,
-      SimdEngine::Fast);
+      SimdEngine::Codegen);
   // §2.4 time splitting (restart machinery + split graphs).
-  add({"time-split", "convert", "subsume", "straighten"},
-      BarrierMode::TrackOccupancy, 1, SimdEngine::Fast);
   add({"time-split", "convert", "subsume", "straighten"},
       BarrierMode::TrackOccupancy, 1, SimdEngine::Reference);
   add({"time-split", "convert", "subsume", "straighten"},
       BarrierMode::TrackOccupancy, 1, SimdEngine::Codegen);
   // Custom-order coverage: the dme cleanup pass, straighten-less layout.
   add({"convert", "subsume", "dme"}, BarrierMode::TrackOccupancy, 1,
-      SimdEngine::Fast);
+      SimdEngine::Codegen);
   return m;
 }
 

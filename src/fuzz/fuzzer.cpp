@@ -234,9 +234,9 @@ bool reproduces(const std::string& source, const EvalConfig& cfg,
     // Pair checks need a partner cell: the other engine, and (for
     // thread-width nondeterminism) the serial conversion.
     RunSpec other = spec;
-    other.engine = spec.engine == mimd::SimdEngine::Fast
-                       ? mimd::SimdEngine::Reference
-                       : mimd::SimdEngine::Fast;
+    other.engine = spec.engine == mimd::SimdEngine::Reference
+                       ? mimd::SimdEngine::Codegen
+                       : mimd::SimdEngine::Reference;
     if (spec.threads != 1) {
       RunSpec serial = spec;
       serial.threads = 1;

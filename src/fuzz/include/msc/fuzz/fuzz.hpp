@@ -71,7 +71,7 @@ struct RunSpec {
   std::vector<std::string> pipeline = {"convert", "subsume", "straighten"};
   core::BarrierMode barrier_mode = core::BarrierMode::TrackOccupancy;
   unsigned threads = 1;
-  mimd::SimdEngine engine = mimd::SimdEngine::Fast;
+  mimd::SimdEngine engine = mimd::RunConfig{}.engine;
 
   bool has(const std::string& pass) const;
   /// Conversion-relevant part (engines sharing it reuse one conversion).

@@ -34,7 +34,7 @@ struct Manifest {
   std::string pipeline;
   bool prune = false;
   unsigned threads = 1;
-  std::string engine = "fast";
+  mimd::SimdEngine engine = mimd::RunConfig{}.engine;
   std::string note;
 
   RunSpec spec() const;

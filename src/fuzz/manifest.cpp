@@ -164,15 +164,7 @@ RunSpec Manifest::spec() const {
   s.barrier_mode = prune ? core::BarrierMode::PaperPrune
                          : core::BarrierMode::TrackOccupancy;
   s.threads = threads;
-  if (engine == "fast") {
-    s.engine = mimd::SimdEngine::Fast;
-  } else if (engine == "reference") {
-    s.engine = mimd::SimdEngine::Reference;
-  } else if (engine == "codegen") {
-    s.engine = mimd::SimdEngine::Codegen;
-  } else {
-    throw std::runtime_error(cat("manifest: unknown engine '", engine, "'"));
-  }
+  s.engine = engine;
   return s;
 }
 
@@ -210,7 +202,7 @@ std::string to_json(const Manifest& m) {
   os << "  \"pipeline\": \"" << escape(m.pipeline) << "\",\n";
   os << "  \"prune\": " << (m.prune ? "true" : "false") << ",\n";
   os << "  \"threads\": " << m.threads << ",\n";
-  os << "  \"engine\": \"" << escape(m.engine) << "\",\n";
+  os << "  \"engine\": \"" << simd::engine_name(m.engine) << "\",\n";
   os << "  \"note\": \"" << escape(m.note) << "\"\n";
   os << "}\n";
   return os.str();
@@ -236,7 +228,12 @@ Manifest parse_manifest(const std::string& json) {
   if (m.pipeline.empty()) m.pipeline = shorthand_stages(fields);
   m.prune = to_bool(fields, "prune", m.prune);
   m.threads = static_cast<unsigned>(to_int(fields, "threads", m.threads));
-  m.engine = to_str(fields, "engine", m.engine);
+  try {
+    m.engine = simd::parse_engine(
+        to_str(fields, "engine", simd::engine_name(m.engine)));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(e.what());
+  }
   m.note = to_str(fields, "note", m.note);
   if (m.source_file.empty())
     throw std::runtime_error("manifest is missing source_file");
@@ -276,7 +273,7 @@ Manifest manifest_for(const Finding& finding, const EvalConfig& cfg,
   m.pipeline = join(s.pipeline, ",");
   m.prune = s.barrier_mode == core::BarrierMode::PaperPrune;
   m.threads = s.threads;
-  m.engine = simd::engine_name(s.engine);
+  m.engine = s.engine;
   // First line of the detail is enough context for a human reader.
   const std::size_t nl = finding.detail.find('\n');
   m.note = nl == std::string::npos ? finding.detail

@@ -13,19 +13,18 @@
 
 namespace msc::mimd {
 
-/// Which SIMD simulator executes the meta-state program. All engines are
+/// Which SIMD simulator executes the meta-state program. Both engines are
 /// observably identical (memories, stats, tracer streams — enforced by
 /// tests/simd_differential_test.cpp); they differ only in host cost:
-///  - Fast: occupancy-indexed — per-broadcast work proportional to the
-///    PEs actually enabled, with incrementally maintained aggregate pc,
-///    alive count, and free-PE pool.
 ///  - Reference: the original scalar oracle — every broadcast scans all
 ///    nprocs PEs; kept compiled in forever as the differential baseline.
-///  - Codegen: translation-cache engine — at automaton load each meta
-///    state's guarded SOp sequence is compiled (once per program hash ×
-///    cost model, qemu-TCG-style) into a fused, constant-folded host
-///    stream executed group-at-a-time; fastest on high-occupancy runs.
-enum class SimdEngine : std::uint8_t { Fast, Reference, Codegen };
+///  - Codegen: the default — at automaton load each meta state's guarded
+///    SOp sequence is compiled (once per program hash × cost model,
+///    qemu-TCG-style) into fused, constant-folded same-guard groups; each
+///    group runs over only the PEs it enables (occupancy-indexed), whole
+///    lanes at a time when the host ISA is a vector one and the group is
+///    dense.
+enum class SimdEngine : std::uint8_t { Reference, Codegen };
 
 /// Shared run parameters for both simulated machines.
 struct RunConfig {
@@ -45,7 +44,8 @@ struct RunConfig {
   /// (false) allocates fresh PEs only, keeping assignment deterministic.
   bool reuse_halted_pes = false;
   /// SIMD simulator engine built by simd::make_machine / driver::run_simd.
-  SimdEngine engine = SimdEngine::Fast;
+  /// The one place the default engine is spelled.
+  SimdEngine engine = SimdEngine::Codegen;
   /// Host ISA for whole-lane PE evaluation (simulated semantics are
   /// ISA-independent; this only selects the host execution backend).
   /// Resolved at machine construction; unavailable explicit requests fault.

@@ -75,7 +75,7 @@ struct Request {
   std::int64_t nprocs = 8;
   std::int64_t initial_active = -1;
   std::uint64_t seed = 1;
-  mimd::SimdEngine engine = mimd::SimdEngine::Fast;
+  mimd::SimdEngine engine = mimd::RunConfig{}.engine;
   SimdIsa simd_isa = SimdIsa::Auto;
   bool reuse_halted_pes = false;
   /// Accumulate per-meta-state StateProfiles: the response's "simd"

@@ -9,7 +9,7 @@
 // a 64-PE boundary so enable masks are whole 64-bit words aligned with
 // DynBitset's backing words. The engines do not own PE memory:
 // ReferenceSimdMachine interprets scalar PE views of the store, while the
-// occupancy engines may execute maximal same-guard op runs lane-at-a-time
+// codegen engine may execute a translated same-guard group lane-at-a-time
 // through LaneExecutor under a host ISA from msc/support/simd_isa.hpp.
 //
 // Semantics contract: whichever path executes, memories, SimdStats,
@@ -25,7 +25,6 @@
 
 #include "msc/codegen/program.hpp"
 #include "msc/codegen/translate.hpp"
-#include "msc/ir/cost.hpp"
 #include "msc/ir/exec.hpp"
 #include "msc/ir/lane_store.hpp"
 #include "msc/support/simd_isa.hpp"
@@ -88,27 +87,17 @@ struct LOp {
   std::int32_t src_end = 0;  ///< ScalarSpan: one past the last index
 };
 
-/// One maximal same-guard run of a meta state's ops, lowered to lane code.
+/// One translated same-guard group (codegen::TGroup), lowered to lane code.
 struct LaneRun {
-  std::int32_t first = 0;  ///< source-op range [first, end) in the state
-  std::int32_t end = 0;
   std::vector<LOp> code;
   std::int32_t max_depth = 0;  ///< peak virtual-stack depth
-  /// Fast-engine charge aggregates over the ORIGINAL ops (codegen groups
-  /// keep their own TGroup aggregates): Σ op-cost and the guard-switch
-  /// count (always 1 — runs split exactly at new_guard boundaries).
-  std::int64_t cost_sum = 0;
 };
 
 struct LanePlan {
   std::vector<LaneRun> runs;
-  std::int32_t max_depth = 0;
 };
 
-/// Lower a meta state's SOp stream (fast engine) into same-guard runs.
-LanePlan build_lane_plan(const std::vector<codegen::SOp>& code,
-                         const ir::CostModel& cost);
-/// Lower a translated state (codegen engine): one run per TGroup, source
+/// Lower a translated state: one run per TGroup, ScalarSpan source
 /// indices relative to that group's TOp stream.
 LanePlan build_lane_plan(const codegen::TransState& ts);
 

@@ -111,24 +111,16 @@ class SimdTracer {
 /// subscripts. Per-PE program memory footprint is zero by construction.
 ///
 /// This is the engine-independent interface plus the shared substrate
-/// (PE/mono memory, stats, visit counts, the step() skeleton and the
-/// transition-table lookup). Three engines implement the per-broadcast hot
-/// path — see mimd::SimdEngine and make_machine(); their observable
-/// behaviour is bit-identical by contract (simd_differential_test).
-class SimdMachine : public ir::MemoryBus {
+/// (stats, visit counts, the step() skeleton and the transition-table
+/// lookup); PE and mono memory are mimd::MachineMemory's, the store every
+/// machine shares. Two engines implement the per-broadcast hot path — see
+/// mimd::SimdEngine and make_machine(); their observable behaviour is
+/// bit-identical by contract (simd_differential_test).
+class SimdMachine : public mimd::MachineMemory {
  public:
   SimdMachine(const codegen::SimdProgram& program, const ir::CostModel& cost,
               const mimd::RunConfig& config);
   ~SimdMachine() override = default;
-
-  void poke(std::int64_t proc, std::int64_t addr, Value v);
-  Value peek(std::int64_t proc, std::int64_t addr) const;
-  /// Seed one local cell across all PEs from a per-PE integer vector
-  /// (vals.size() == nprocs): one memcpy into the int lane, byte-identical
-  /// to nprocs scalar pokes of Value::of_int.
-  void fill_lane(std::int64_t addr, const std::vector<std::int64_t>& vals);
-  void poke_mono(std::int64_t addr, Value v);
-  Value peek_mono(std::int64_t addr) const;
 
   void run();
 
@@ -173,7 +165,7 @@ class SimdMachine : public ir::MemoryBus {
   /// the reference engine (it is the scalar differential oracle).
   SimdIsa isa() const { return isa_; }
 
-  /// "fast", "reference", or "codegen" (--trace-simd, bench labels).
+  /// "reference" or "codegen" (--trace-simd, bench labels).
   virtual const char* engine_name() const = 0;
 
   const SimdStats& stats() const { return stats_; }
@@ -183,16 +175,15 @@ class SimdMachine : public ir::MemoryBus {
   /// Per-meta-state execution counts (benches, --trace-simd).
   const std::vector<std::int64_t>& state_visits() const { return visits_; }
 
-  // MemoryBus:
-  Value mono_load(std::int64_t addr) override;
-  void mono_store(std::int64_t addr, Value v) override;
+  // MemoryBus: router traversals count into SimdStats::router_ops, so
+  // every engine agrees on them by construction.
   Value route_load(std::int64_t proc, std::int64_t addr) override;
   void route_store(std::int64_t proc, std::int64_t addr, Value v) override;
 
  protected:
-  /// Per-PE control state only: local memory and operand stacks moved to
-  /// the shared lane-major store (lanes_), so the engines no longer own PE
-  /// memory and whole-lane execution needs no per-PE indirection.
+  /// Per-PE control state only: local memory and operand stacks live in
+  /// the lane-major store (MachineMemory::store_), so the engines own no
+  /// PE memory and whole-lane execution needs no per-PE indirection.
   struct Pe {
     ir::StateId pc = ir::kNoState;
     ir::StateId next_pc = ir::kNoState;
@@ -220,16 +211,12 @@ class SimdMachine : public ir::MemoryBus {
                                   const DynBitset& apc);
   /// O(nprocs) occupancy scan (reference path; tracer fallback).
   DynBitset aggregate_pc() const;
-  void check_local(std::int64_t proc, std::int64_t addr) const;
 
   const codegen::SimdProgram& prog_;
   ir::CostModel cost_;
   mimd::RunConfig config_;
-  /// Lane-major SoA local memories + per-PE operand stacks (all engines).
-  ir::LaneStore lanes_;
   SimdIsa isa_ = SimdIsa::Scalar;
   std::vector<Pe> pes_;
-  std::vector<Value> mono_;
   SimdStats stats_;
   std::vector<std::int64_t> visits_;
   /// Attribute the stats delta of one executed step (state entry through
@@ -271,34 +258,57 @@ class ReferenceSimdMachine final : public SimdMachine {
   DynBitset free_;
 };
 
-/// Shared substrate of the occupancy-indexed engines (Fast and Codegen):
-/// per-MIMD-state PE sets, the incrementally maintained aggregate pc,
-/// alive count and spawn pool, and the end-of-state pc commit. See
-/// DESIGN.md §7 for the maintained invariants:
+/// Translation-cache engine, the default (DESIGN.md §7, §11). At
+/// construction the program body is compiled — through the process-global
+/// cache in codegen/translate.hpp, so repeat runs of the same automaton
+/// skip the work — into fused same-guard groups of constant-folded host
+/// ops. exec_state resolves each group's guard once, charges the group's
+/// precomputed cycle aggregates, and runs the folded stream either
+/// whole-lane (vector ISA, dense group) or op-major (threaded dispatch)
+/// over a flat enabled-PE list, in the reference engine's PE order.
+/// Observable behaviour — memories, SimdStats, profiles, visits, tracer
+/// streams — stays bit-identical to the reference oracle by construction.
+///
+/// Occupancy index (DESIGN.md §11.1), maintained between meta states:
 ///   occ_[s] == { i | pes_[i].pc == s }, occ_count_[s] == |occ_[s]|,
 ///   apc_.test(s) == (occ_count_[s] > 0), alive_ == Σ occ_count_,
-///   pes_[i].next_pc == pes_[i].pc between meta states, and free_ holds
-///   exactly the PEs a spawn may claim. Within exec_state, pcs are frozen
-///   (lockstep semantics) — only next_pc changes, each changed PE recorded
-///   once in moved_.
-class OccupancySimdMachine : public SimdMachine, protected LaneHost {
+///   pes_[i].next_pc == pes_[i].pc, and free_ holds exactly the PEs a
+///   spawn may claim. Within exec_state, pcs are frozen (lockstep
+///   semantics) — only next_pc changes, each changed PE recorded once in
+///   moved_ — so host cost per group is O(enabled PEs + guard states).
+class CodegenSimdMachine final : public SimdMachine, protected LaneHost {
  public:
-  OccupancySimdMachine(const codegen::SimdProgram& program,
-                       const ir::CostModel& cost,
-                       const mimd::RunConfig& config);
+  CodegenSimdMachine(const codegen::SimdProgram& program,
+                     const ir::CostModel& cost, const mimd::RunConfig& config);
+  const char* engine_name() const override { return "codegen"; }
   std::int64_t alive_count() const override { return alive_; }
 
  protected:
+  void exec_state(const codegen::MetaCode& mc) override;
+  core::MetaId next_state(const codegen::MetaCode& mc,
+                          DynBitset* apc) override;
   bool any_alive() const override { return alive_ > 0; }
   DynBitset occupancy() const override { return apc_; }
 
-  /// LaneHost: next-pc write with moved_ bookkeeping (shared by the lane
-  /// executors of both occupancy engines).
+  /// LaneHost: execute TOps [first, end) of the current group for every
+  /// masked PE, op-outer / PE-inner.
+  void lane_scalar_span(std::int32_t first, std::int32_t end,
+                        const std::uint64_t* mask,
+                        std::size_t nwords) override;
+  /// LaneHost: next-pc write with moved_ bookkeeping.
   void lane_set_next_pc(std::int64_t pe, ir::StateId target) override;
-  /// OR the occ_ words of the occupied `guard_states` into lane_mask_;
-  /// returns the enabled-PE count (Σ occ_count_ over those states).
-  std::int64_t build_lane_mask(const std::vector<ir::StateId>& guard_states);
-  /// Per-machine executor, built on first whole-lane run.
+
+ private:
+  /// Fill enabled_scratch_ with the PEs of the occupied guard states in
+  /// occupied_scratch_, in ascending PE id (the reference engine's
+  /// 0..nprocs scan order).
+  void gather_enabled();
+  /// OR the occ_ words of the states in occupied_scratch_ into lane_mask_.
+  void build_lane_mask();
+  /// Dispatch folded host ops [op, end) over enabled_scratch_ (the whole
+  /// group on the flat-list path; a ScalarSpan subrange on the lane path).
+  void run_ops(const codegen::TOp* op, const codegen::TOp* end);
+  const LanePlan& plan_for(core::MetaId id, const codegen::TransState& ts);
   LaneExecutor& lane_executor();
 
   /// Apply the next_pc of every PE in moved_, maintaining occ_/apc_/
@@ -310,6 +320,7 @@ class OccupancySimdMachine : public SimdMachine, protected LaneHost {
   void spawn_pe(Pe& parent, std::int64_t parent_id, ir::StateId child_entry,
                 ir::StateId cont);
 
+  std::shared_ptr<const codegen::TransProgram> trans_;
   /// occ_[s] = PE ids whose pc == s (bit order doubles as the PE-id
   /// execution order the reference engine uses); occ_count_[s] = |occ_[s]|.
   std::vector<DynBitset> occ_;
@@ -324,96 +335,23 @@ class OccupancySimdMachine : public SimdMachine, protected LaneHost {
   std::vector<std::int64_t> moved_;
   /// Count-limited iterator over one occupied state's PE set: `left`
   /// bounds the traversal so bits() never pays the trailing zero-word
-  /// scan, keeping per-op host cost proportional to enabled PEs.
+  /// scan, keeping per-group host cost proportional to enabled PEs.
   struct OccCursor {
     const DynBitset* pes;
     std::size_t pos;
     std::int64_t left;
   };
 
-  // Scratch reused across broadcasts (no per-op allocation).
+  // Scratch reused across groups (no per-group allocation).
   std::vector<ir::StateId> occupied_scratch_;
   std::vector<OccCursor> cursor_scratch_;
-  /// Whole-lane enable mask (lanes_.mask_words() words), rebuilt per run.
-  std::vector<std::uint64_t> lane_mask_;
-
- private:
-  std::unique_ptr<LaneExecutor> lane_exec_;
-};
-
-/// Occupancy-indexed interpretive engine: each broadcast iterates only the
-/// PEs whose pc is in the op's guard. Host cost per broadcast is
-/// O(enabled PEs + occupied guard states), not O(nprocs).
-class FastSimdMachine final : public OccupancySimdMachine {
- public:
-  using OccupancySimdMachine::OccupancySimdMachine;
-  const char* engine_name() const override { return "fast"; }
-
- protected:
-  void exec_state(const codegen::MetaCode& mc) override;
-  core::MetaId next_state(const codegen::MetaCode& mc,
-                          DynBitset* apc) override;
-  /// LaneHost: execute SOps [first, end) of the current state's code for
-  /// every masked PE, op-outer / PE-inner (the reference scan order).
-  void lane_scalar_span(std::int32_t first, std::int32_t end,
-                        const std::uint64_t* mask,
-                        std::size_t nwords) override;
-
- private:
-  void exec_op(const codegen::SOp& op, std::int64_t pe);
-  /// Whole-lane body (vector ISAs): one lowered run per same-guard span,
-  /// stats charged per run with identical totals to the per-op path.
-  void exec_state_lanes(const codegen::MetaCode& mc);
-  const LanePlan& plan_for(const codegen::MetaCode& mc);
-
-  /// Lazily lowered lane plans, indexed by meta-state id.
-  std::vector<std::unique_ptr<LanePlan>> plans_;
-  const std::vector<codegen::SOp>* cur_code_ = nullptr;  ///< span source
-};
-
-/// Translation-cache engine (DESIGN.md §11): at construction the program
-/// body is compiled — through the process-global cache in
-/// codegen/translate.hpp, so repeat runs of the same automaton skip the
-/// work — into fused same-guard groups of constant-folded host ops.
-/// exec_state then resolves each group's guard once, charges the group's
-/// precomputed cycle aggregates, and dispatches the folded stream op-major
-/// (threaded/computed-goto dispatch) over a flat enabled-PE list, in the
-/// exact PE order the interpretive engines use. Observable behaviour —
-/// memories, SimdStats, profiles, visits, tracer streams — stays
-/// bit-identical to the reference oracle by construction.
-class CodegenSimdMachine final : public OccupancySimdMachine {
- public:
-  CodegenSimdMachine(const codegen::SimdProgram& program,
-                     const ir::CostModel& cost, const mimd::RunConfig& config);
-  const char* engine_name() const override { return "codegen"; }
-
- protected:
-  void exec_state(const codegen::MetaCode& mc) override;
-  core::MetaId next_state(const codegen::MetaCode& mc,
-                          DynBitset* apc) override;
-  /// LaneHost: execute TOps [first, end) of the current group for every
-  /// masked PE, op-outer / PE-inner.
-  void lane_scalar_span(std::int32_t first, std::int32_t end,
-                        const std::uint64_t* mask,
-                        std::size_t nwords) override;
-
- private:
-  /// Fill enabled_scratch_ with the PEs occupying `guard_states`, in
-  /// ascending PE id (the reference engine's 0..nprocs scan order).
-  void gather_enabled(const std::vector<ir::StateId>& guard_states);
-  /// Dispatch folded host ops [op, end) over enabled_scratch_ (the whole
-  /// group on the scalar path; a ScalarSpan subrange on the lane path).
-  void run_ops(const codegen::TOp* op, const codegen::TOp* end);
-  /// Whole-lane body (vector ISAs): one lowered run per TGroup.
-  void exec_state_lanes(const codegen::MetaCode& mc,
-                        const codegen::TransState& ts);
-  const LanePlan& plan_for(core::MetaId id, const codegen::TransState& ts);
-
-  std::shared_ptr<const codegen::TransProgram> trans_;
   std::vector<std::int64_t> enabled_scratch_;
+  /// Whole-lane enable mask (store_.mask_words() words).
+  std::vector<std::uint64_t> lane_mask_;
   /// Lazily lowered lane plans, indexed by meta-state id (per machine —
   /// the shared translation cache stays RunConfig/ISA-independent).
   std::vector<std::unique_ptr<LanePlan>> lane_plans_;
+  std::unique_ptr<LaneExecutor> lane_exec_;
   const codegen::TGroup* cur_group_ = nullptr;  ///< span source
 };
 
@@ -422,10 +360,10 @@ std::unique_ptr<SimdMachine> make_machine(const codegen::SimdProgram& program,
                                           const ir::CostModel& cost,
                                           const mimd::RunConfig& config);
 
-/// Parse "fast"/"reference"/"codegen" (mscc --simd-engine); throws
-/// std::invalid_argument on anything else.
+/// Parse "reference"/"codegen" (mscc --simd-engine, the wire and manifest
+/// `engine` fields); throws std::invalid_argument on anything else.
 mimd::SimdEngine parse_engine(const std::string& name);
-/// Canonical name of an engine ("fast"/"reference"/"codegen").
+/// Canonical name of an engine ("reference"/"codegen").
 const char* engine_name(mimd::SimdEngine engine);
 
 /// JSON for --trace-simd / --profile-simd: engine name, cycle/utilization

@@ -15,8 +15,6 @@
 
 namespace msc::simd {
 
-using codegen::SOp;
-using codegen::SOpKind;
 using codegen::TOp;
 using codegen::TOpKind;
 using ir::Instr;
@@ -28,8 +26,8 @@ using ir::Opcode;
 namespace {
 
 /// Incremental lowering of one same-guard run. Tracks the virtual stack
-/// depth and, per slot, the pushing constant (for PushI;LdL-style fusion —
-/// the SOp-level analogue of the codegen translator's *Imm forms).
+/// depth and, per slot, the pushing constant (for PushI;LdL-style fusion
+/// of the unfused Exec forms the translator leaves behind).
 struct Lowerer {
   std::vector<LOp> code;
   std::vector<const Value*> known;  // parallel to virtual stack; null=opaque
@@ -313,67 +311,18 @@ struct Lowerer {
   }
 };
 
-std::int64_t sop_cost(const SOp& op, const ir::CostModel& cost) {
-  switch (op.kind) {
-    case SOpKind::Data: return cost.instr_cost(op.instr);
-    case SOpKind::SetPc: return cost.jump;
-    case SOpKind::CondSetPc: return cost.branch;
-    case SOpKind::HaltPc: return cost.halt;
-    case SOpKind::SpawnPc: return cost.spawn;
-  }
-  return 0;
-}
-
 }  // namespace
-
-LanePlan build_lane_plan(const std::vector<SOp>& code,
-                         const ir::CostModel& cost) {
-  LanePlan plan;
-  std::size_t i = 0;
-  while (i < code.size()) {
-    std::size_t end = i + 1;
-    while (end < code.size() && !code[end].new_guard) ++end;
-    LaneRun run;
-    run.first = static_cast<std::int32_t>(i);
-    run.end = static_cast<std::int32_t>(end);
-    Lowerer lo;
-    for (std::size_t k = i; k < end; ++k) {
-      const SOp& op = code[k];
-      run.cost_sum += sop_cost(op, cost);
-      const auto src = static_cast<std::int32_t>(k);
-      switch (op.kind) {
-        case SOpKind::Data: lo.lower_instr(op.instr, src); break;
-        case SOpKind::SetPc: lo.lower_pc(LOpKind::SetPcLane, op.a, op.b, src); break;
-        case SOpKind::CondSetPc:
-          lo.lower_pc(LOpKind::CondSetPcLane, op.a, op.b, src);
-          break;
-        case SOpKind::HaltPc: lo.lower_pc(LOpKind::HaltPcLane, op.a, op.b, src); break;
-        case SOpKind::SpawnPc: lo.scalar(src); break;
-      }
-    }
-    lo.finish();
-    run.code = std::move(lo.code);
-    run.max_depth = lo.max_depth;
-    if (run.max_depth > plan.max_depth) plan.max_depth = run.max_depth;
-    plan.runs.push_back(std::move(run));
-    i = end;
-  }
-  return plan;
-}
 
 LanePlan build_lane_plan(const codegen::TransState& ts) {
   LanePlan plan;
   for (const codegen::TGroup& g : ts.groups) {
     LaneRun run;
-    run.first = 0;
-    run.end = static_cast<std::int32_t>(g.code.size());
     Lowerer lo;
     for (std::size_t k = 0; k < g.code.size(); ++k)
       lo.lower_top(g.code[k], static_cast<std::int32_t>(k));
     lo.finish();
     run.code = std::move(lo.code);
     run.max_depth = lo.max_depth;
-    if (run.max_depth > plan.max_depth) plan.max_depth = run.max_depth;
     plan.runs.push_back(std::move(run));
   }
   return plan;

@@ -1,6 +1,6 @@
-// Engine-independent SIMD machine substrate: construction, memory access,
-// the step() skeleton, and the §3.2 transition-table lookup. The two
-// per-broadcast hot paths live in reference.cpp and fast.cpp.
+// Engine-independent SIMD machine substrate: construction, the step()
+// skeleton, and the §3.2 transition-table lookup. The two per-broadcast
+// hot paths live in reference.cpp and codegen_engine.cpp.
 #include "msc/simd/machine.hpp"
 
 #include <cstdio>
@@ -22,10 +22,7 @@ using ir::MachineFault;
 
 SimdMachine::SimdMachine(const codegen::SimdProgram& program,
                          const ir::CostModel& cost, const mimd::RunConfig& config)
-    : prog_(program),
-      cost_(cost),
-      config_(config),
-      lanes_(mimd::validated_nprocs(config), config.local_mem_cells) {
+    : MachineMemory(config), prog_(program), cost_(cost), config_(config) {
   // Resolve the host execution backend up front so an unavailable explicit
   // request faults at construction, like any other bad RunConfig.
   try {
@@ -45,53 +42,15 @@ SimdMachine::SimdMachine(const codegen::SimdProgram& program,
       pe.ever_ran = true;
     }
   }
-  mono_.assign(static_cast<std::size_t>(config_.mono_mem_cells), Value{});
 }
 
-void SimdMachine::check_local(std::int64_t proc, std::int64_t addr) const {
-  if (proc < 0 || proc >= config_.nprocs)
-    throw MachineFault(cat("PE index out of range: ", proc));
-  if (addr < 0 || addr >= config_.local_mem_cells)
-    throw MachineFault(cat("local address out of range: ", addr));
-}
-
-void SimdMachine::poke(std::int64_t proc, std::int64_t addr, Value v) {
-  check_local(proc, addr);
-  lanes_.store(proc, addr, v);
-}
-
-Value SimdMachine::peek(std::int64_t proc, std::int64_t addr) const {
-  check_local(proc, addr);
-  return lanes_.load(proc, addr);
-}
-
-void SimdMachine::fill_lane(std::int64_t addr,
-                            const std::vector<std::int64_t>& vals) {
-  check_local(0, addr);
-  lanes_.fill_int_lane(addr, vals.data(), config_.nprocs);
-}
-
-void SimdMachine::poke_mono(std::int64_t addr, Value v) {
-  if (addr < 0 || addr >= config_.mono_mem_cells)
-    throw MachineFault(cat("mono address out of range: ", addr));
-  mono_[static_cast<std::size_t>(addr)] = v;
-}
-
-Value SimdMachine::peek_mono(std::int64_t addr) const {
-  if (addr < 0 || addr >= config_.mono_mem_cells)
-    throw MachineFault(cat("mono address out of range: ", addr));
-  return mono_[static_cast<std::size_t>(addr)];
-}
-
-Value SimdMachine::mono_load(std::int64_t addr) { return peek_mono(addr); }
-void SimdMachine::mono_store(std::int64_t addr, Value v) { poke_mono(addr, v); }
 Value SimdMachine::route_load(std::int64_t proc, std::int64_t addr) {
   ++stats_.router_ops;
-  return peek(proc, addr);
+  return MachineMemory::route_load(proc, addr);
 }
 void SimdMachine::route_store(std::int64_t proc, std::int64_t addr, Value v) {
   ++stats_.router_ops;
-  poke(proc, addr, v);
+  MachineMemory::route_store(proc, addr, v);
 }
 
 DynBitset SimdMachine::aggregate_pc() const {
@@ -295,7 +254,7 @@ void SimdMachine::publish_metrics() {
   routers.add(stats_.router_ops);
   rescues.add(stats_.rescue_transitions);
   util.record(static_cast<std::int64_t>(stats_.utilization() * 100.0));
-  cells_used.record(lanes_.used());
+  cells_used.record(store_.used());
 }
 
 std::unique_ptr<SimdMachine> make_machine(const codegen::SimdProgram& program,
@@ -303,22 +262,18 @@ std::unique_ptr<SimdMachine> make_machine(const codegen::SimdProgram& program,
                                           const mimd::RunConfig& config) {
   if (config.engine == mimd::SimdEngine::Reference)
     return std::make_unique<ReferenceSimdMachine>(program, cost, config);
-  if (config.engine == mimd::SimdEngine::Codegen)
-    return std::make_unique<CodegenSimdMachine>(program, cost, config);
-  return std::make_unique<FastSimdMachine>(program, cost, config);
+  return std::make_unique<CodegenSimdMachine>(program, cost, config);
 }
 
 mimd::SimdEngine parse_engine(const std::string& name) {
-  if (name == "fast") return mimd::SimdEngine::Fast;
   if (name == "reference") return mimd::SimdEngine::Reference;
   if (name == "codegen") return mimd::SimdEngine::Codegen;
   throw std::invalid_argument(cat("unknown SIMD engine '", name,
-                                  "' (expected fast|reference|codegen)"));
+                                  "' (expected reference|codegen)"));
 }
 
 const char* engine_name(mimd::SimdEngine engine) {
   switch (engine) {
-    case mimd::SimdEngine::Fast: return "fast";
     case mimd::SimdEngine::Reference: return "reference";
     case mimd::SimdEngine::Codegen: return "codegen";
   }

@@ -70,7 +70,7 @@ void ReferenceSimdMachine::exec_state(const MetaCode& mc) {
       stats_.busy_pe_cycles += op_cost;
       switch (op.kind) {
         case SOpKind::Data: {
-          ir::PeContext ctx{lanes_.pe_view(i), &lanes_.stack(i), i,
+          ir::PeContext ctx{store_.pe_view(i), &store_.stack(i), i,
                             config_.nprocs};
           ir::exec_instr(op.instr, ctx, *this);
           break;
@@ -79,7 +79,7 @@ void ReferenceSimdMachine::exec_state(const MetaCode& mc) {
           pe.next_pc = op.a;
           break;
         case SOpKind::CondSetPc: {
-          Value cond = ir::stack_pop(lanes_.stack(i));
+          Value cond = ir::stack_pop(store_.stack(i));
           pe.next_pc = cond.truthy() ? op.a : op.b;
           break;
         }
@@ -96,7 +96,7 @@ void ReferenceSimdMachine::exec_state(const MetaCode& mc) {
           free_.reset(child);
           Pe& ch = pes_[child];
           if (ch.ever_ran) coverage_hit(cov::kSimdSpawnReuse, 1);
-          lanes_.clear_pe(static_cast<std::int64_t>(child));
+          store_.clear_pe(static_cast<std::int64_t>(child));
           ch.next_pc = op.a;
           ch.ever_ran = true;
           ++stats_.spawns;

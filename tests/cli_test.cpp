@@ -183,7 +183,7 @@ TEST(Cli, TraceConvertWritesJson) {
 }
 
 TEST(Cli, TraceSimdWritesJsonForAllEngines) {
-  for (const char* engine : {"fast", "reference", "codegen"}) {
+  for (const char* engine : {"reference", "codegen"}) {
     std::string path =
         std::string(MSCC_TMPDIR) + "/cli_simd_trace_" + engine + ".json";
     auto r = run_cli("--kernel listing1 --emit meta --simd-engine " +
@@ -203,6 +203,15 @@ TEST(Cli, TraceSimdWritesJsonForAllEngines) {
     EXPECT_NE(json.find("\"utilization\""), std::string::npos);
     EXPECT_NE(json.find("\"visits\""), std::string::npos);
   }
+}
+
+TEST(Cli, RetiredFastEngineIsAUsageError) {
+  auto r = run_cli("--kernel listing1 --run --simd-engine fast");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown SIMD engine 'fast' (expected "
+                          "reference|codegen)"),
+            std::string::npos)
+      << r.output;
 }
 
 TEST(Cli, CodegenEngineRunsAndReportsTranslationCache) {

@@ -165,6 +165,15 @@ TEST(FuzzSelftest, ManifestRejectsMalformedInput) {
   EXPECT_THROW(parse_manifest(
                    R"({"schema": 1, "source_file": "a.mimdc", "prune": 7})"),
                std::runtime_error);  // non-boolean bool field
+  // An engine parse_engine does not know fails the load with its message.
+  try {
+    parse_manifest(R"({"schema": 1, "source_file": "a.mimdc",
+                       "engine": "fast"})");
+    ADD_FAILURE() << "a manifest naming engine 'fast' loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown SIMD engine 'fast' (expected reference|codegen)");
+  }
   // Unknown keys are ignored (forward compatibility).
   Manifest m = parse_manifest(
       R"({"schema": 1, "source_file": "a.mimdc", "future_field": "ok"})");
@@ -202,12 +211,11 @@ TEST(FuzzSelftest, CoverageSinkScopingAndBuckets) {
 TEST(FuzzSelftest, DefaultMatrixCoversEveryMode) {
   const std::vector<RunSpec> matrix = default_matrix();
   std::vector<std::string> labels;
-  bool fast = false, reference = false, codegen = false, prune = false;
+  bool reference = false, codegen = false, prune = false;
   bool compress = false;
   bool nosub = false, split = false, threaded = false, dme = false;
   for (const RunSpec& s : matrix) {
     labels.push_back(s.label());
-    fast |= s.engine == mimd::SimdEngine::Fast;
     reference |= s.engine == mimd::SimdEngine::Reference;
     codegen |= s.engine == mimd::SimdEngine::Codegen;
     prune |= s.barrier_mode == core::BarrierMode::PaperPrune;
@@ -218,7 +226,7 @@ TEST(FuzzSelftest, DefaultMatrixCoversEveryMode) {
     threaded |= s.threads > 1;
     EXPECT_TRUE(s.has("convert")) << s.label();
   }
-  EXPECT_TRUE(fast && reference && codegen && prune && compress && nosub &&
+  EXPECT_TRUE(reference && codegen && prune && compress && nosub &&
               split && threaded && dme);
   std::sort(labels.begin(), labels.end());
   EXPECT_EQ(std::adjacent_find(labels.begin(), labels.end()), labels.end())
@@ -246,7 +254,7 @@ TEST(FuzzSelftest, ManifestPipelineRoundTripAndLegacyFallback) {
   // back out keeps the stages they stand for.
   Manifest split = parse_manifest(
       R"({"schema": 1, "source_file": "a.mimdc", "time_split": true})");
-  const std::string label = "time-split,convert,subsume,straighten-t1/fast";
+  const std::string label = "time-split,convert,subsume,straighten-t1/codegen";
   EXPECT_EQ(split.spec().label(), label);
   EXPECT_EQ(parse_manifest(to_json(split)).spec().label(), label);
   Manifest plain = parse_manifest(R"({"schema": 1, "source_file": "a.mimdc"})");

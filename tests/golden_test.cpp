@@ -33,7 +33,7 @@ TEST(Golden, Listing4MplSnapshot) {
          "regenerate per the header comment";
 }
 
-// The --trace-simd JSON dump for listing1 (fast engine, nprocs 4, seed 1)
+// The --trace-simd JSON dump for listing1 (codegen engine, nprocs 4, seed 1)
 // must be byte-identical to tests/golden/listing1_trace.json. This pins the
 // execution-stats schema (engine name, resolved ISA, every cycle counter,
 // utilization formatting, per-meta-state visits) and — because the
@@ -66,7 +66,7 @@ TEST(Golden, TraceSimdJsonSnapshot) {
       << "simd trace JSON drifted from the golden snapshot; if intentional, "
          "regenerate per the comment above";
   // Schema sanity independent of exact values.
-  EXPECT_NE(got.find("\"engine\": \"fast\""), std::string::npos);
+  EXPECT_NE(got.find("\"engine\": \"codegen\""), std::string::npos);
   EXPECT_NE(got.find("\"utilization\""), std::string::npos);
   EXPECT_NE(got.find("\"visits\""), std::string::npos);
 }

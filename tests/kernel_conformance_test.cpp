@@ -1,6 +1,6 @@
 // Ground-truth conformance: every verified kernel (src/kernels) must
 // produce its host-side expected() answer — not merely agree with another
-// engine — on all three SIMD engines, across the default / dme / compress+
+// engine — on both SIMD engines, across the default / dme / compress+
 // subsume pipelines, at several PE counts including a word-boundary 65.
 // The MIMD oracle is held to the same ground truth, so a bug shared by
 // every engine (or by the converter) cannot hide behind differential
@@ -25,17 +25,10 @@ struct Case {
   const char* pipeline;  // "default", "dme", "compress"
 };
 
-std::string engine_tag(mimd::SimdEngine e) {
-  switch (e) {
-    case mimd::SimdEngine::Reference: return "reference";
-    case mimd::SimdEngine::Codegen: return "codegen";
-    default: return "fast";
-  }
-}
-
 std::string case_name(const testing::TestParamInfo<Case>& info) {
   const Case& c = info.param;
-  return msc::cat(c.kernel, "_n", c.n, "_", engine_tag(c.engine), "_", c.pipeline);
+  return msc::cat(c.kernel, "_n", c.n, "_", simd::engine_name(c.engine), "_",
+                  c.pipeline);
 }
 
 driver::PipelineOptions pipeline_options(const std::string& which) {
@@ -71,8 +64,8 @@ std::vector<Case> all_cases() {
   std::vector<Case> cases;
   for (const std::string& k : kernels::verified_names())
     for (std::int64_t n : {5, 16, 65})  // non-pow2, pow2, word boundary
-      for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
-                          mimd::SimdEngine::Codegen})
+      for (auto engine :
+           {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen})
         for (const char* pipeline : {"default", "dme", "compress"})
           cases.push_back({k, n, engine, pipeline});
   return cases;
@@ -108,7 +101,6 @@ TEST(KernelGroundTruth, WiderMachineThanProblem) {
     ir::CostModel cost;
     auto converted = driver::convert(c.source, cost, driver::PipelineOptions{});
     mimd::RunConfig config = c.config;
-    config.engine = mimd::SimdEngine::Fast;
     auto obs = driver::run_simd(converted.compiled, converted.conversion,
                                 config, c.input_seed, cost);
     EXPECT_EQ(kernels::check(c, obs), "") << k;

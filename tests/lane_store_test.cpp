@@ -205,8 +205,7 @@ void expect_scalar_vector_identical(const driver::Compiled& compiled,
                                     mimd::RunConfig config,
                                     std::uint64_t seed) {
   const SimdIsa host = resolve_simd_isa(SimdIsa::Auto);
-  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
-                      mimd::SimdEngine::Codegen}) {
+  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
     SCOPED_TRACE(simd::engine_name(engine));
     config.engine = engine;
     config.simd_isa = SimdIsa::Scalar;
@@ -232,7 +231,7 @@ TEST(LaneMachine, TailMasksNeverEnablePadPes) {
   // At 63/65/127/1000 PEs the last mask word is partial: a stray pad bit
   // would corrupt results or over-count busy cycles. Run a branchy
   // kernel at every edge count and demand scalar/vector bit-identity on
-  // all three engines.
+  // both engines.
   auto compiled = driver::compile(workload::kernel("listing1").source);
   auto conv = test::convert(compiled.graph, kCost);
   for (std::int64_t n : kPeCounts) {
@@ -362,9 +361,8 @@ TEST(LaneSpawn, ChildrenSeeZeroWhereverAnyWritePathReached) {
        "a[4000][[procid() + 64]] = 7;\n"
        "a[4000][[(procid() + 1) % 64]] = 7;",
        HostWrite::None},
-      // Constant address: scalar StL (reference, fast/scalar), lane
-      // StoreLane (fast and codegen under a vector ISA), StLImm
-      // (codegen/scalar).
+      // Constant address: scalar StL (reference), StLImm (codegen/scalar),
+      // lane StoreLane lowered from StLImm (codegen under a vector ISA).
       {"constant_store", "a[4000] = 7;", HostWrite::None},
       // Computed address (a[4000] on odd PEs): scalar StL, or lane
       // StDynLane.
@@ -388,8 +386,8 @@ TEST(LaneSpawn, ChildrenSeeZeroWhereverAnyWritePathReached) {
       config.reuse_halted_pes = reuse;
       ASSERT_LT(addr, config.local_mem_cells);
       std::optional<ProbeRun> first;
-      for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
-                          mimd::SimdEngine::Codegen}) {
+      for (auto engine :
+           {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
         for (SimdIsa isa : {SimdIsa::Scalar, host_isa}) {
           SCOPED_TRACE(cat(sc.name, reuse ? "/reuse/" : "/fresh/",
                            simd::engine_name(engine), "/",
@@ -481,8 +479,8 @@ TEST(LaneFootprint, PaperSizeRunsCostWhatTheyTouch) {
     auto compiled = driver::compile(c.source);
     auto conv = test::convert(compiled.graph, kCost);
     auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
-    for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
-                        mimd::SimdEngine::Codegen}) {
+    for (auto engine :
+         {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
       SCOPED_TRACE(cat(name, "@16384/", simd::engine_name(engine)));
       mimd::RunConfig config = c.config;
       config.engine = engine;

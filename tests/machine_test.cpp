@@ -327,10 +327,10 @@ TEST(SimdMachine, PeCountBoundaries) {
     mimd::RunConfig cfg;
     cfg.nprocs = nprocs;
     auto oracle = driver::run_oracle(c, cfg, 3);
-    simd::SimdStats stats[3];
+    simd::SimdStats stats[2];
     int idx = 0;
-    for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
-                        mimd::SimdEngine::Codegen}) {
+    for (auto engine :
+         {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
       cfg.engine = engine;
       auto simd = driver::run_simd(c, conv, cfg, 3, kCost, {}, &stats[idx]);
       EXPECT_TRUE(oracle == simd)
@@ -340,7 +340,6 @@ TEST(SimdMachine, PeCountBoundaries) {
       ++idx;
     }
     EXPECT_TRUE(stats[0] == stats[1]);
-    EXPECT_TRUE(stats[0] == stats[2]);
   }
 }
 
@@ -348,8 +347,7 @@ TEST(SimdMachine, SpawnWithoutFreePEFaultsAllEngines) {
   auto c = compile("int main() { spawn { return 1; } return 0; }");
   auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
-  for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
-                      mimd::SimdEngine::Codegen}) {
+  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
     mimd::RunConfig cfg;
     cfg.nprocs = 2;
     cfg.initial_active = 2;  // nobody free
@@ -362,7 +360,7 @@ TEST(SimdMachine, SpawnWithoutFreePEFaultsAllEngines) {
 TEST(SimdMachine, SpawnReusePolicyAllEngines) {
   // SIMD twin of MimdMachine.SpawnReusePolicy: 1 parent spawning 2
   // children sequentially with only 1 spare PE. Succeeds only when halted
-  // PEs return to the pool — the exact path the fast engine's free list
+  // PEs return to the pool — the exact path the codegen engine's free list
   // must get right.
   auto c = compile(R"(
 int main() {
@@ -377,8 +375,7 @@ int main() {
 )");
   auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
-  for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
-                      mimd::SimdEngine::Codegen}) {
+  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
     mimd::RunConfig cfg;
     cfg.nprocs = 2;
     cfg.initial_active = 1;
@@ -401,8 +398,7 @@ TEST(SimdMachine, TracerDoesNotChangeStats) {
   auto c = compile(workload::listing1().source);
   auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
-  for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
-                      mimd::SimdEngine::Codegen}) {
+  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
     mimd::RunConfig cfg;
     cfg.nprocs = 8;
     cfg.engine = engine;
@@ -441,8 +437,7 @@ TEST(SimdMachine, CostModelIsCopiedAtConstruction) {
   auto c = compile(workload::listing1().source);
   auto conv = test::convert(c.graph, kCost);
   auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
-  for (auto engine : {mimd::SimdEngine::Fast, mimd::SimdEngine::Reference,
-                      mimd::SimdEngine::Codegen}) {
+  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
     mimd::RunConfig cfg;
     cfg.nprocs = 8;
     cfg.engine = engine;

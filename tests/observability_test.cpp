@@ -127,15 +127,14 @@ TEST(Metrics, GlobalRegistryCarriesToolchainMetrics) {
 TEST(Metrics, PeCellsUsedIsTheSameOnEveryEngine) {
   // simd.pe_cells_used records each run's PE-memory high water: one past
   // the highest local address any write reached. It depends only on the
-  // program and its inputs, so all three engines record the same value.
+  // program and its inputs, so both engines record the same value.
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
   telemetry::Histogram& h = reg.histogram(
       "simd.pe_cells_used", telemetry::Histogram::pow2_bounds(13));
   auto compiled = driver::compile(workload::kernel("listing1").source);
   auto conv = test::convert(compiled.graph, kCost);
   std::vector<std::int64_t> used;
-  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Fast,
-                      mimd::SimdEngine::Codegen}) {
+  for (auto engine : {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
     mimd::RunConfig rc;
     rc.nprocs = 64;
     rc.engine = engine;
@@ -147,10 +146,9 @@ TEST(Metrics, PeCellsUsedIsTheSameOnEveryEngine) {
   EXPECT_GT(used[0], 0);
   EXPECT_LE(used[0], mimd::RunConfig{}.local_mem_cells);
   EXPECT_EQ(used[1], used[0]);
-  EXPECT_EQ(used[2], used[0]);
   json::Value doc = json::parse(reg.to_json());
   EXPECT_GE(doc.at("histograms").at("simd.pe_cells_used").at("count").as_int(),
-            3);
+            2);
 }
 
 // --------------------------------------------------------- labeled metrics
@@ -271,7 +269,7 @@ TEST(Trace, ToJsonIsValidChromeTraceJson) {
   telemetry::TraceSink sink;
   sink.name_process(telemetry::TraceSink::kSimdPid, "simd machine");
   sink.complete("ms3", "meta-state", telemetry::TraceSink::kSimdPid, 0, 10, 5,
-                {{"enabled_pes", 8}}, {{"engine", "fast"}});
+                {{"enabled_pes", 8}}, {{"engine", "codegen"}});
   sink.instant("note \"quoted\"\n", "cat", telemetry::TraceSink::kToolchainPid,
                0, 1);
   {
@@ -292,7 +290,7 @@ TEST(Trace, ToJsonIsValidChromeTraceJson) {
   EXPECT_EQ(x.at("ts").as_int(), 10);
   EXPECT_EQ(x.at("dur").as_int(), 5);
   EXPECT_EQ(x.at("args").at("enabled_pes").as_int(), 8);
-  EXPECT_EQ(x.at("args").at("engine").as_string(), "fast");
+  EXPECT_EQ(x.at("args").at("engine").as_string(), "codegen");
   EXPECT_EQ(events.elems[2].at("name").as_string(), "note \"quoted\"\n");
   EXPECT_EQ(events.elems[3].at("args").at("meta_states_after").as_int(), 12);
 }
@@ -431,7 +429,7 @@ TEST(ObservabilityCorpus, ProfileSumsMatchRunTotalsOnBothEngines) {
     bool ran_both = true;
     for (int e = 0; e < 2; ++e) {
       config.engine =
-          e == 0 ? mimd::SimdEngine::Fast : mimd::SimdEngine::Reference;
+          e == 0 ? mimd::SimdEngine::Codegen : mimd::SimdEngine::Reference;
       auto m = simd::make_machine(prog, kCost, config);
       driver::seed_machine(*m, compiled, config, 1);
       m->enable_profiling();

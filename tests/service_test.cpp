@@ -21,6 +21,7 @@
 
 #include "msc/service/client.hpp"
 #include "msc/service/daemon.hpp"
+#include "msc/simd/machine.hpp"
 #include "msc/support/json.hpp"
 #include "msc/support/str.hpp"
 
@@ -168,7 +169,8 @@ TEST(ServiceProtocol, RunProfileMatchesStandaloneMscc) {
       cat("{\"op\": \"run\", \"source\": ", quoted(source),
           ", \"nprocs\": 8, \"seed\": 3, \"profile\": true}"));
   ASSERT_TRUE(doc.at("ok").b);
-  EXPECT_EQ(doc.at("engine").as_string(), "fast");
+  EXPECT_EQ(doc.at("engine").as_string(),
+            simd::engine_name(mimd::RunConfig{}.engine));
 
   const std::string prof = tmp_path("svc_run_profile.json");
   run_mscc(cat("--run --nprocs 8 --seed 3 --profile-simd ", prof, " ", path));
@@ -181,6 +183,23 @@ TEST(ServiceProtocol, RunProfileMatchesStandaloneMscc) {
   EXPECT_EQ(doc2.at("simd").as_string(), doc.at("simd").as_string());
   EXPECT_EQ(doc2.at("observed").as_string(), doc.at("observed").as_string());
   EXPECT_EQ(doc2.at("cache").as_string(), "hit");
+}
+
+TEST(ServiceProtocol, RunDefaultsToRunConfigEngine) {
+  // The wire default is RunConfig's: a run without "engine" reports the
+  // engine mimd::RunConfig{} names, and an explicit engine is honoured
+  // with the same observed results.
+  Server s("runengine");
+  const std::string frame = cat("{\"op\": \"run\", \"source\": ",
+                                quoted(kSource), ", \"nprocs\": 4");
+  json::Value plain = s.request(frame + "}");
+  ASSERT_TRUE(plain.at("ok").b);
+  EXPECT_EQ(plain.at("engine").as_string(),
+            simd::engine_name(mimd::RunConfig{}.engine));
+  json::Value ref = s.request(frame + ", \"engine\": \"reference\"}");
+  ASSERT_TRUE(ref.at("ok").b);
+  EXPECT_EQ(ref.at("engine").as_string(), "reference");
+  EXPECT_EQ(ref.at("observed").as_string(), plain.at("observed").as_string());
 }
 
 TEST(ServiceProtocol, RunHonoursSimdIsaField) {
@@ -318,6 +337,13 @@ TEST(ServiceProtocol, MalformedFramesGetTypedErrors) {
       "protocol-error");
   expect_error(s.request("{\"op\": \"coschedule\", \"programs\": []}"),
                "protocol-error");
+  // A retired engine name gets parse_engine's message, as in mscc.
+  const json::Value fast = s.request(
+      "{\"op\": \"run\", \"source\": \"x\", \"engine\": \"fast\"}");
+  expect_error(fast, "protocol-error");
+  EXPECT_NE(fast.at("error").at("message").as_string().find(
+                "unknown SIMD engine 'fast' (expected reference|codegen)"),
+            std::string::npos);
   expect_error(s.request("{\"op\": \"compile\", \"source\": \"int main() "
                          "{ return 0; }\", \"pipeline\": \"convert,frobnicate\"}"),
                "pipeline-error");

@@ -105,10 +105,10 @@ int usage() {
       "                      (default meta)\n"
       "  --run               also execute on SIMD machine + MIMD oracle\n"
       "  --trace             like --run, plus a per-meta-state occupancy trace\n"
-      "  --simd-engine E     fast = occupancy-indexed engine (default),\n"
-      "                      reference = the scalar oracle, codegen = the\n"
-      "                      translation-cached specialized engine; results\n"
-      "                      and stats are bit-identical in every case\n"
+      "  --simd-engine E     codegen = the translation-cached, occupancy-\n"
+      "                      indexed engine (default), reference = the\n"
+      "                      scalar oracle; results and stats are\n"
+      "                      bit-identical in either case\n"
       "  --simd-isa I        auto = best host ISA (default), scalar = force\n"
       "                      the portable path, avx2|neon = require that\n"
       "                      ISA (error if the host lacks it); results and\n"

@@ -57,7 +57,8 @@ int usage() {
       "  --pipeline P         explicit pass pipeline (comma-separated)\n"
       "  --compress --adaptive --time-split --prune --no-subsume\n"
       "  --max-meta-states N  explosion guard\n"
-      "  --nprocs N --active N --seed N --engine E --simd-isa I\n"
+      "  --nprocs N --active N --seed N --simd-isa I\n"
+      "  --engine E           codegen (default) | reference\n"
       "  --max-blocks N\n"
       "  --reuse-halted-pes   (run)\n"
       "  --policy P --quantum N   (coschedule)\n"

@@ -83,7 +83,7 @@ struct StateRow {
 
 struct Run {
   std::string source;           ///< input path (headers)
-  std::string engine = "?";     ///< "fast"/"reference" when known
+  std::string engine = "?";     ///< "codegen"/"reference" when known
   std::string isa;              ///< resolved SIMD ISA ("scalar"/"avx2"/...)
   std::int64_t isa_lane_width = 0;
   std::string kind;             ///< "profile" | "stats" | "chrome-trace"
